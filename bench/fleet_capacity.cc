@@ -138,7 +138,6 @@ main(int argc, char **argv)
         fleet::RouterOptions ropts;
         ropts.shards = shards;
         ropts.engine.numThreads = 2;
-        ropts.engine.batchScoring = true;
         ropts.engine.baseSeed = 1;
         fleet::ShardRouter router(model, ropts);
 

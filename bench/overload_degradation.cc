@@ -268,7 +268,6 @@ runConfig(const pipeline::AsrModel &model,
 {
     api::EngineOptions eopts;
     eopts.numThreads = 2;  // deliberately starved: overload is the point
-    eopts.batchScoring = true;
     // Shallow engine queue so saturation surfaces as WouldBlock and
     // parks chunks at the server -- the queue-depth overload signal.
     // Deeper queues just hide the backlog from the monitor.

@@ -3,24 +3,24 @@
  * Throughput scaling of the concurrent decode engine: a sessions x
  * worker-threads sweep over one shared AsrModel, reporting
  * utterances/sec, aggregate RTF, p50/p99 session latency and the
- * speedup over the single-threaded run.
+ * speedup over a sequential inline-scoring reference.
  *
  * This is the serving-side metric the paper's single-utterance
  * figures do not cover: a deployment is judged by how many parallel
  * utterances one model instance sustains (cf. the DAWN ASR baseline
  * harness, which ranks engines by real-time factor over a 50-sample
- * corpus).  Every utterance is decoded bit-identically to a
- * sequential run -- the bench verifies that on the fly -- so the
- * sweep measures pure scheduling/parallelism effects.
+ * corpus).  Every utterance is decoded bit-identically to the
+ * reference pass below -- the bench verifies that on the fly -- so
+ * the sweep measures pure scheduling/parallelism effects.
  *
- * Each thread count runs twice: per-session scoring (every worker
- * scores its own frames one at a time) and cross-session batch
- * scoring (SchedulerConfig::batchScoring: one coalesced DNN forward
- * per tick across all active sessions).  Batching pays off even on a
- * single core because the GEMM amortizes per-frame dispatch and
- * weight traffic across sessions -- the paper's Sec. II insight --
- * and the results stay bit-identical either way, which the bench
- * asserts.
+ * The reference pass decodes the corpus sequentially through
+ * inline-scoring StreamingSessions (one DNN forward per frame); its
+ * row is the baseline.  Every engine row coalesces the pending frames
+ * of all active sessions into one DNN forward per tick.  Batching
+ * pays off even on a single core because the GEMM amortizes
+ * per-frame dispatch and weight traffic across sessions -- the
+ * paper's Sec. II insight -- and the results stay bit-identical
+ * either way, which the bench asserts.
  *
  * Thread *scaling* still requires hardware threads: on an N-core
  * host the speedup saturates near min(threads, N).
@@ -52,7 +52,7 @@
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "pipeline/model.hh"
-#include "server/scheduler.hh"
+#include "server/session.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
@@ -113,35 +113,63 @@ buildCorpus(const pipeline::AsrModel &model, unsigned count)
     return corpus;
 }
 
+/** Base seed shared by the reference and every engine run. */
+constexpr std::uint64_t kBaseSeed = 7;
+
 struct SweepPoint
 {
     unsigned threads;
-    bool batched;
     server::EngineSnapshot snap;
     double wallSeconds;
 };
 
 /**
- * Decode the corpus through one engine configuration; verifies (or
- * records, when @p ref_words is empty) per-utterance bit-identity.
+ * Decode the corpus sequentially through inline-scoring sessions
+ * (ids 0..n-1, the engine's numbering): the bit-identity reference
+ * and the per-frame-scoring baseline row.
+ */
+std::vector<pipeline::RecognitionResult>
+runReference(const pipeline::AsrModel &model,
+             const std::vector<frontend::AudioSignal> &corpus,
+             double &wall_seconds)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<pipeline::RecognitionResult> results;
+    results.reserve(corpus.size());
+    for (std::size_t u = 0; u < corpus.size(); ++u) {
+        server::SessionConfig cfg;
+        cfg.id = u;
+        cfg.baseSeed = kBaseSeed;
+        server::StreamingSession session(model, cfg);
+        session.pushAudio(corpus[u].samples);
+        results.push_back(session.finish());
+    }
+    wall_seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+    return results;
+}
+
+/**
+ * Decode the corpus through one engine configuration, verifying
+ * per-utterance bit-identity against the reference.
  */
 SweepPoint
 runSweep(const pipeline::AsrModel &model,
          const std::vector<frontend::AudioSignal> &corpus,
-         unsigned threads, bool batched,
-         std::vector<std::vector<wfst::WordId>> &ref_words,
-         std::vector<wfst::LogProb> &ref_scores)
+         unsigned threads,
+         const std::vector<std::vector<wfst::WordId>> &ref_words,
+         const std::vector<wfst::LogProb> &ref_scores)
 {
-    server::SchedulerConfig cfg;
+    api::EngineOptions cfg;
     cfg.numThreads = threads;
-    cfg.baseSeed = 7;
-    cfg.batchScoring = batched;
+    cfg.baseSeed = kBaseSeed;
     // Eight sessions in flight: enough to amortize one weight pass
     // across the coalesced batch (8 sessions x chunksPerTick frames
     // per tick) while keeping the per-session search state within
     // reach of the cache.
     cfg.maxBatchSessions = 8;
-    server::DecodeScheduler engine(model, cfg);
+    api::Engine engine(model, cfg);
 
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::future<pipeline::RecognitionResult>> futures;
@@ -157,27 +185,18 @@ runSweep(const pipeline::AsrModel &model,
                             std::chrono::steady_clock::now() - t0)
                             .count();
 
-    // Per-utterance results must be bit-identical across thread
-    // counts AND scoring modes (the float backends' row-wise
+    // Per-utterance results must be bit-identical to the inline
+    // reference at every thread count (the float backends' row-wise
     // contract).
-    if (ref_words.empty()) {
-        for (const auto &r : results) {
-            ref_words.push_back(r.words);
-            ref_scores.push_back(r.score);
-        }
-    } else {
-        for (std::size_t u = 0; u < results.size(); ++u) {
-            if (results[u].words != ref_words[u] ||
-                results[u].score != ref_scores[u])
-                fatal("%s run with %u threads changed utterance %zu",
-                      batched ? "batched" : "per-session", threads,
-                      u);
-        }
+    for (std::size_t u = 0; u < results.size(); ++u) {
+        if (results[u].words != ref_words[u] ||
+            results[u].score != ref_scores[u])
+            fatal("run with %u threads changed utterance %zu",
+                  threads, u);
     }
 
     SweepPoint p;
     p.threads = threads;
-    p.batched = batched;
     p.snap = engine.stats();
     p.snap.wallSeconds = wall;  // exclude model setup
     p.wallSeconds = wall;
@@ -199,8 +218,7 @@ runLiveClients(const pipeline::AsrModel &model,
 {
     api::EngineOptions opts;
     opts.numThreads = threads;
-    opts.baseSeed = 7;
-    opts.batchScoring = true;
+    opts.baseSeed = kBaseSeed;
     opts.maxBatchSessions = 8;
     api::Engine engine(model, opts);
 
@@ -288,54 +306,80 @@ main(int argc, char **argv)
     const auto corpus = buildCorpus(model, utterances);
 
     // Warm-up: touch the decode path once (page-faults the packed
-    // weights, primes the allocator) so the first sweep point is not
+    // weights, primes the allocator) so the first timed pass is not
     // penalized relative to the rest.
     {
-        std::vector<std::vector<wfst::WordId>> w;
-        std::vector<wfst::LogProb> s;
+        double wall = 0.0;
         const std::vector<frontend::AudioSignal> sample(
             corpus.begin(),
             corpus.begin() + std::min<std::size_t>(4, corpus.size()));
-        runSweep(model, sample, 1, false, w, s);
+        runReference(model, sample, wall);
     }
 
-    // Shared reference results: every sweep point (any thread count,
-    // either scoring mode) must reproduce them bit-exactly.
+    // The shared reference: every sweep point (any thread count, one
+    // shot or live) must reproduce it bit-exactly.
+    double ref_wall = 0.0;
+    const std::vector<pipeline::RecognitionResult> reference =
+        runReference(model, corpus, ref_wall);
     std::vector<std::vector<wfst::WordId>> ref_words;
     std::vector<wfst::LogProb> ref_scores;
+    double ref_audio = 0.0;
+    for (const auto &r : reference) {
+        ref_words.push_back(r.words);
+        ref_scores.push_back(r.score);
+        ref_audio += r.audioSeconds;
+    }
+    const double ref_ups = double(utterances) / ref_wall;
+    std::printf("   1 thread  inline      : %6.2f utt/s  (%.2fs wall, "
+                "per-frame scoring)\n",
+                ref_ups, ref_wall);
 
     std::vector<SweepPoint> points;
     for (unsigned threads = 1; threads <= max_threads; threads *= 2) {
-        for (const bool batched : {false, true}) {
-            const SweepPoint p =
-                runSweep(model, corpus, threads, batched, ref_words,
-                         ref_scores);
-            std::printf("  %2u thread%s %-12s: %6.2f utt/s  "
-                        "(%.2fs wall%s)\n",
-                        threads, threads == 1 ? " " : "s",
-                        batched ? "batched" : "per-session",
-                        double(utterances) / p.wallSeconds,
-                        p.wallSeconds,
-                        batched ? ", cross-session GEMM" : "");
-            points.push_back(p);
-        }
+        const SweepPoint p =
+            runSweep(model, corpus, threads, ref_words, ref_scores);
+        std::printf("  %2u thread%s batched     : %6.2f utt/s  "
+                    "(%.2fs wall, cross-session GEMM)\n",
+                    threads, threads == 1 ? " " : "s",
+                    double(utterances) / p.wallSeconds, p.wallSeconds);
+        points.push_back(p);
     }
 
-    std::printf("\nall thread counts and scoring modes produced "
-                "bit-identical per-utterance results\n\n");
+    std::printf("\nall thread counts produced per-utterance results "
+                "bit-identical to the inline reference\n\n");
 
     bench::JsonReport report("throughput_scaling");
     Table table({"threads", "scoring", "utt/s", "speedup", "agg RTF",
                  "RTF p99", "lat p50 ms", "lat p99 ms",
                  "mean batch"});
-    const double base = points[0].snap.utterancesPerSecond();
+    // The inline reference is sequential: no queue, so no latency
+    // distribution, and one frame per forward.
+    table.row()
+        .add(1)
+        .add("inline")
+        .add(ref_ups, 2)
+        .addRatio(1.0, 2)
+        .add(ref_wall / ref_audio, 3)
+        .add("-")
+        .add("-")
+        .add("-")
+        .add(1.0, 1);
+    report.beginRow();
+    report.add("threads", 1);
+    report.add("scoring", std::string("inline-reference"));
+    report.add("utterances", std::uint64_t(utterances));
+    report.add("utt_per_sec", ref_ups);
+    report.add("wall_seconds", ref_wall);
+    report.add("aggregate_rtf", ref_wall / ref_audio);
+    report.add("dnn_mean_batch_rows", 1.0);
+    report.add("bit_identical", true);
     for (const auto &p : points) {
         const double ups = p.snap.utterancesPerSecond();
         table.row()
             .add(int(p.threads))
-            .add(p.batched ? "batched" : "per-session")
+            .add("batched")
             .add(ups, 2)
-            .addRatio(base > 0.0 ? ups / base : 0.0, 2)
+            .addRatio(ref_ups > 0.0 ? ups / ref_ups : 0.0, 2)
             .add(p.snap.aggregateRtf(), 3)
             .add(p.snap.rtfP99, 3)
             .add(p.snap.latencyP50Ms, 1)
@@ -343,9 +387,7 @@ main(int argc, char **argv)
             .add(p.snap.dnnMeanBatchRows(), 1);
         report.beginRow();
         report.add("threads", int(p.threads));
-        report.add("scoring",
-                   std::string(p.batched ? "batched"
-                                         : "per-session"));
+        report.add("scoring", std::string("batched"));
         report.add("utterances", std::uint64_t(utterances));
         report.add("utt_per_sec", ups);
         report.add("wall_seconds", p.wallSeconds);
@@ -356,23 +398,15 @@ main(int argc, char **argv)
     }
     table.print();
 
-    // The cross-session-batching verdict: compare the two modes at
-    // each thread count (the batch coordinator keeps 8 sessions in
-    // flight whenever the corpus allows it).
-    std::printf("\ncross-session batching vs per-session scoring "
-                "(%u concurrent sessions):\n",
-                std::min(utterances, 8u));
-    for (std::size_t i = 0; i + 1 < points.size(); i += 2) {
-        const double plain = points[i].snap.utterancesPerSecond();
-        const double batched =
-            points[i + 1].snap.utterancesPerSecond();
-        std::printf("  %2u thread%s: %.2fx  (%s)\n",
-                    points[i].threads,
-                    points[i].threads == 1 ? " " : "s",
-                    plain > 0.0 ? batched / plain : 0.0,
-                    batched >= plain ? "batched wins"
-                                     : "per-session wins");
-    }
+    // The cross-session-batching verdict at one thread: the engine
+    // keeps 8 sessions in flight whenever the corpus allows it.
+    const double batched_ups = points[0].snap.utterancesPerSecond();
+    std::printf("\ncross-session batching vs inline per-frame scoring "
+                "(1 thread, %u concurrent sessions): %.2fx (%s)\n",
+                std::min(utterances, 8u),
+                ref_ups > 0.0 ? batched_ups / ref_ups : 0.0,
+                batched_ups >= ref_ups ? "batched wins"
+                                       : "inline wins");
     // Live-stream clients into the batched engine: the same corpus,
     // pushed through the handle API 10 ms at a time, reporting the
     // live-serving metric the one-shot rows cannot -- time to first
@@ -408,7 +442,7 @@ main(int argc, char **argv)
         report.add("bit_identical", true);
     }
     std::printf("\nlive-stream results stayed bit-identical to the "
-                "one-shot reference\n");
+                "inline reference\n");
 
     report.write();
     return 0;

@@ -3,24 +3,23 @@
  * Concurrent serving demo: one shared acoustic model + WFST, many
  * simultaneous decode sessions, all through the unified api::Engine.
  *
- * Five views of the same engine:
+ * Four views of the same engine:
  *
  *  1. A single live stream fed 10 ms chunks through the handle API
  *     (open / push / finish), partial hypotheses arriving via the
  *     onPartial callback while the "speaker" is mid-utterance.
- *  2. A burst of one-shot utterances through the worker pool
- *     (submit), showing the engine-level aggregate stats
- *     (utterances/sec, RTF distribution, p50/p99 latency) a
- *     production deployment is judged by.
- *  3. The same burst with cross-session batched DNN scoring
- *     (EngineOptions::batchScoring): pending frames from all active
- *     sessions are coalesced into one GEMM per tick -- bit-identical
- *     results, engine stats now showing the batch sizes.
- *  4. Live streaming clients *into* the batch engine: several
- *     concurrent handles pushing in real-world-sized chunks, their
- *     frames joining the same cross-session batches, with
- *     time-to-first-partial percentiles in the stats.
- *  5. An always-on stream (StreamOptions::autoEndpoint): one endless
+ *  2. A burst of one-shot utterances (submit): pending frames from
+ *     all active sessions are coalesced into one cross-session GEMM
+ *     per tick, with the engine-level aggregate stats (utterances/sec,
+ *     RTF distribution, p50/p99 latency, batch sizes) a production
+ *     deployment is judged by -- and results bit-identical to an
+ *     inline, frame-by-frame StreamingSession decode of each
+ *     utterance.
+ *  3. Live streaming clients: several concurrent handles pushing in
+ *     real-world-sized chunks, their frames joining the same
+ *     cross-session batches, with time-to-first-partial percentiles
+ *     in the stats.
+ *  4. An always-on stream (StreamOptions::autoEndpoint): one endless
  *     microphone feed of speech bursts separated by silence; the
  *     built-in VAD/endpointer closes each utterance after trailing
  *     silence and delivers it through onSegment, bit-identical to
@@ -47,6 +46,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "pipeline/model.hh"
+#include "server/session.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
@@ -146,8 +146,9 @@ main(int argc, char **argv)
     std::printf("  (score %.2f, RTF %.3f)\n\n", live_result.score,
                 live_result.realTimeFactor());
 
-    // ---- 2. a burst of one-shot utterances through the pool ----
-    std::printf("burst: %u utterances through %u worker thread%s\n",
+    // ---- 2. a burst of one-shot utterances, batch-scored ----
+    std::printf("burst: %u utterances through %u thread%s, frames "
+                "from all sessions coalesced per tick\n",
                 num_utterances, num_threads,
                 num_threads == 1 ? "" : "s");
     api::Engine engine(model, opts);
@@ -167,40 +168,36 @@ main(int argc, char **argv)
 
     std::printf("\nengine stats:\n%s", engine.stats().render().c_str());
 
-    // ---- 3. the same burst, cross-session batched DNN scoring ----
-    std::printf("\nbatched burst: same %u utterances, frames from "
-                "all sessions coalesced per tick\n",
-                num_utterances);
-    api::EngineOptions bopts = opts;
-    bopts.batchScoring = true;
-    api::Engine batched(model, bopts);
-
-    std::vector<std::future<pipeline::RecognitionResult>> bfutures;
-    for (unsigned u = 0; u < num_utterances; ++u)
-        bfutures.push_back(batched.submit(speak(model, 1 + u)));
-
+    // The reference: each utterance decoded alone by an inline
+    // StreamingSession, one DNN forward per frame, as the same
+    // session id.
     bool identical = true;
     for (unsigned u = 0; u < num_utterances; ++u) {
-        const auto r = bfutures[u].get();
-        identical = identical &&
-                    r.words == burst_results[u].words &&
+        server::SessionConfig scfg;
+        static_cast<server::SessionKnobs &>(scfg) = opts;
+        scfg.id = u;
+        scfg.baseSeed = opts.baseSeed;
+        server::StreamingSession reference(model, scfg);
+        reference.pushAudio(speak(model, 1 + u).samples);
+        const auto r = reference.finish();
+        identical = identical && r.words == burst_results[u].words &&
                     r.score == burst_results[u].score;
     }
-    std::printf("results bit-identical to the per-session burst: "
+    std::printf("results bit-identical to inline per-frame scoring: "
                 "%s\n", identical ? "yes" : "NO");
     if (!identical)
-        fatal("batched scoring diverged from per-session results");
+        fatal("batched scoring diverged from inline results");
 
-    // ---- 4. live streaming clients INTO the batch engine ----
+    // ---- 3. concurrent live streaming clients ----
     const unsigned num_live =
         std::min(num_utterances, std::max(2u, num_threads));
-    std::printf("\nlive-into-batch: %u concurrent live streams, "
+    std::printf("\nlive streams: %u concurrent live streams, "
                 "chunks interleaved, frames joining the "
                 "cross-session GEMM\n",
                 num_live);
     // A fresh engine so the streams get session ids 0..num_live-1,
     // matching the burst results they are compared against.
-    api::Engine liveBatched(model, bopts);
+    api::Engine liveBatched(model, opts);
     std::vector<frontend::AudioSignal> voices;
     std::vector<api::StreamHandle> handles;
     for (unsigned u = 0; u < num_live; ++u) {
@@ -237,7 +234,7 @@ main(int argc, char **argv)
                 "%s\n", live_identical ? "yes" : "NO");
 
     const auto snap = liveBatched.stats();
-    std::printf("\nlive-into-batch engine stats:\n%s",
+    std::printf("\nlive-stream engine stats:\n%s",
                 snap.render().c_str());
     if (!live_identical)
         fatal("live streaming diverged from one-shot results");
@@ -245,7 +242,7 @@ main(int argc, char **argv)
         fatal("live streams did not coalesce into cross-session "
               "batches (mean %.2f rows)", snap.dnnMeanBatchRows());
 
-    // ---- 5. always-on: one endless stream, VAD auto-endpointing ----
+    // ---- 4. always-on: one endless stream, VAD auto-endpointing ----
     //
     // Two utterances on one stream, separated by silence nobody has
     // to segment by hand: the endpointer opens a segment when speech

@@ -20,8 +20,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "api/engine.hh"
 #include "decoder/wer.hh"
-#include "pipeline/asr_system.hh"
 #include "wfst/compose.hh"
 #include "wfst/lexicon.hh"
 
@@ -57,10 +57,12 @@ main(int argc, char **argv)
     cfg.trainUtterPerPhoneme = 24;
     cfg.trainEpochs = 20;
     cfg.beam = 12.0f;
-    cfg.useAccelerator = true;
-    pipeline::AsrSystem system(net, cfg);
+    api::EngineOptions opts;
+    opts.searchBackend = "accel";
+    opts.runTiming = true;
+    api::Engine engine(net, cfg, opts);
     std::printf("acoustic model frame accuracy: %.1f%%\n\n",
-                100.0 * system.acousticModelAccuracy());
+                100.0 * engine.model().acousticModelAccuracy());
 
     decoder::WerResult total;
     double frontend_s = 0.0, acoustic_s = 0.0, search_s = 0.0;
@@ -84,10 +86,10 @@ main(int argc, char **argv)
             }
         }
         const frontend::AudioSignal audio =
-            system.synthesizer().synthesizeFrames(frame_phones);
+            engine.model().synthesizer().synthesizeFrames(frame_phones);
 
         const pipeline::RecognitionResult result =
-            system.recognize(audio);
+            engine.recognize(audio);
         frontend_s += result.frontendSeconds;
         acoustic_s += result.acousticSeconds;
         search_s += result.searchSeconds;

@@ -4,9 +4,8 @@
  * recognition scenario.
  *
  *  - One-shot: recognize(audio) / submit(audio) -> future.  The
- *    audio is decoded through a private StreamingSession on the
- *    worker pool, chunk by chunk, exactly as a live client would
- *    have streamed it.
+ *    audio is decoded through a private StreamingSession, chunk by
+ *    chunk, exactly as a live client would have streamed it.
  *  - Live streaming: open() returns a StreamHandle; push() feeds
  *    audio as it is captured (with backpressure once the inbound
  *    queue fills), partial() polls the growing hypothesis (or a
@@ -19,22 +18,24 @@
  *    silence finishes each utterance automatically (results arrive
  *    through StreamOptions::onSegment with sample-exact boundaries)
  *    and decoding transparently re-opens on the next speech onset.
- *    Works in both per-session and batch mode.
- *  - Batched serving: with EngineOptions::batchScoring, a
- *    coordinator advances every in-flight session -- one-shot jobs
- *    *and* live streams -- in lockstep ticks and coalesces their
- *    pending DNN frames into one cross-session forward pass per
- *    tick, so live clients get the paper's batching-on-a-throughput-
- *    device economics too.
  *
- * All three produce bit-identical per-utterance results: sessions
- * share one immutable pipeline::AsrModel, every stochastic component
- * draws from a per-session RNG seeded by deriveSeed(baseSeed,
- * sessionId), incremental MFCC is chunk-boundary-invariant, and the
- * float acoustic backends score row-wise (see acoustic/backend.hh),
- * so neither thread count, scoring mode, nor push() granularity can
- * change a result.  The legacy surfaces -- AsrSystem::recognize,
- * server::DecodeScheduler -- are thin shims over this class.
+ * One scheduler serves all three: a coordinator advances every
+ * in-flight session -- one-shot jobs *and* live streams -- in
+ * lockstep ticks and coalesces their pending DNN frames into one
+ * cross-session forward pass per tick (server::BatchScorer), the
+ * paper's batching-on-a-throughput-device economics, with the
+ * per-session advance and search stages fanned out over the worker
+ * threads.
+ *
+ * Every entry style produces bit-identical per-utterance results,
+ * equal to an inline-scoring server::StreamingSession over the same
+ * audio and session id: sessions share one immutable
+ * pipeline::AsrModel, every stochastic component draws from a
+ * per-session RNG seeded by deriveSeed(baseSeed, sessionId),
+ * incremental MFCC is chunk-boundary-invariant, and the float
+ * acoustic backends score row-wise (see acoustic/backend.hh), so
+ * neither thread count, batch composition, nor push() granularity
+ * can change a result.
  *
  * Stream state machine:
  *
@@ -103,7 +104,7 @@ class Engine : public StreamEndpoint
     /**
      * Build the engine's own model over @p net (trains the acoustic
      * model, a few seconds at demo scale), honouring
-     * @p opts.acousticBackend when set, then start the workers.
+     * @p opts.acousticBackend when set, then start the coordinator.
      */
     Engine(const wfst::Wfst &net,
            const pipeline::AsrSystemConfig &model_cfg,
@@ -115,15 +116,15 @@ class Engine : public StreamEndpoint
      */
     Engine(const pipeline::AsrModel &model, const EngineOptions &opts);
 
-    /** Cancels open streams, drains accepted work, joins workers. */
+    /** Cancels open streams, drains accepted work, joins threads. */
     ~Engine() override;
 
     // ---- One-shot ---------------------------------------------------
 
     /**
-     * Enqueue one complete utterance; a session decodes it on the
-     * pool.  @return future of the final result (its sessionId field
-     * records the assigned id).
+     * Enqueue one complete utterance for the coordinator.  @return
+     * future of the final result (its sessionId field records the
+     * assigned id).
      */
     std::future<pipeline::RecognitionResult>
     submit(frontend::AudioSignal audio);
@@ -135,22 +136,19 @@ class Engine : public StreamEndpoint
     // ---- Live streams -----------------------------------------------
 
     /**
-     * Open a live stream.  The stream is scheduled like any other
-     * session: onto a dedicated worker in per-session mode, or into
-     * the batch coordinator's tick loop in batch mode (where its
-     * frames join the cross-session GEMM).
+     * Open a live stream.  The stream joins the coordinator's tick
+     * loop like any other session, so its frames join the
+     * cross-session GEMM.
      *
-     * Capacity: per-session mode dedicates one worker per live
-     * stream, so at most numThreads may be open at once -- opening
-     * more is rejected (a warn() diagnostic pointing at batchScoring
-     * or more threads, and an invalid handle) rather than silently
-     * deadlocking a pusher waiting on a stream no worker will ever
-     * serve.  Batch mode multiplexes any number of streams over the
-     * coordinator; beyond maxBatchSessions, un-admitted streams
-     * simply absorb pushes until backpressure pauses them.
+     * Capacity: at most EngineOptions::maxBatchSessions live streams
+     * may be open (not yet Done or Cancelled) at once, one
+     * coordinator slot each.  Opening more is rejected (a warn()
+     * diagnostic once per saturation episode, and an invalid handle)
+     * rather than parking a stream no slot would serve until another
+     * finishes.  One-shot jobs do not count toward the limit.
      *
      * @return the stream's handle; an *invalid* handle (value == 0)
-     *         when per-session capacity is exhausted -- push/finish/
+     *         when the admission limit is reached -- push/finish/
      *         cancel on it degrade cleanly (false / invalid future),
      *         so callers shedding load need only check value != 0
      *
@@ -230,13 +228,6 @@ class Engine : public StreamEndpoint
 
     const EngineOptions &options() const { return opts; }
 
-    unsigned
-    numThreads() const
-    {
-        return unsigned(workers.size()) +
-               (coordinator.joinable() ? 1 : 0);
-    }
-
     /** Sessions accepted so far (one-shot jobs + opened streams). */
     std::uint64_t submittedCount() const;
 
@@ -255,7 +246,6 @@ class Engine : public StreamEndpoint
         std::chrono::steady_clock::time_point opened;
 
         mutable std::mutex mu;
-        std::condition_variable inputReady;  //!< chunks/closed/cancel
         std::condition_variable spaceReady;  //!< chunk consumed
         std::deque<std::vector<float>> chunks;
         bool closed = false;     //!< finish() called
@@ -278,7 +268,7 @@ class Engine : public StreamEndpoint
         std::chrono::steady_clock::time_point submitted;
     };
 
-    /** One in-flight utterance of the batch-mode coordinator. */
+    /** One in-flight utterance of the coordinator. */
     struct ActiveSession
     {
         Job job;
@@ -294,12 +284,6 @@ class Engine : public StreamEndpoint
     };
 
     void start();
-    void workerLoop();
-    pipeline::RecognitionResult runJob(Job &job);
-    void runLiveJob(Job &job);
-    /** Per-session mode, autoEndpoint streams: drive a
-     *  SegmentedSession off the inbound queue. */
-    void runAutoLiveJob(Job &job);
     server::SessionConfig sessionConfigFor(const Job &job) const;
     /** The SegmentedSession configuration of an autoEndpoint job. */
     server::SegmentedConfig segmentedConfigFor(const Job &job) const;
@@ -311,16 +295,12 @@ class Engine : public StreamEndpoint
                       double latency_seconds);
 
     /**
-     * Refresh @p ls.lastPartial from @p session; on change, fire the
+     * Refresh @p ls.lastPartial with @p partial; on change, fire the
      * onPartial callback and record time-to-first-partial.  Called
      * from whichever engine thread is advancing the stream.
      */
     void publishPartial(LiveStream &ls,
-                        server::StreamingSession &session);
-
-    /** As publishPartial, from an already-extracted hypothesis. */
-    void publishPartialWords(LiveStream &ls,
-                             std::vector<wfst::WordId> partial);
+                        std::vector<wfst::WordId> partial);
 
     /**
      * Deliver the final result of a live stream.  @p record_stats is
@@ -334,10 +314,10 @@ class Engine : public StreamEndpoint
 
     /**
      * Account a stream's transition to a terminal state (Done or
-     * Cancelled): frees its per-session-mode worker slot and, once
-     * more than kRetiredHandleCap terminal streams have accumulated,
-     * evicts the oldest half from the handle map so a long-running
-     * engine does not retain one LiveStream per utterance forever.
+     * Cancelled): frees its admission slot and, once more than
+     * retiredHandleCap terminal streams have accumulated, evicts the
+     * oldest half from the handle map so a long-running engine does
+     * not retain one LiveStream per utterance forever.
      */
     void noteStreamTerminal(std::uint64_t handle);
 
@@ -356,14 +336,14 @@ class Engine : public StreamEndpoint
     /**
      * Foreclose one overdue stream: an Open stream is cancelled in
      * place (same transitions as cancel()), a Finishing stream has
-     * its promise delivered now with an empty result -- the decode
-     * worker's own later delivery is absorbed by finishLive's
+     * its promise delivered now with an empty result -- the
+     * coordinator's own later delivery is absorbed by finishLive's
      * terminal-state guard.  No-op if the stream already reached a
      * terminal state.
      */
     void expireStream(std::uint64_t handle);
 
-    // -- Batch mode (opts.batchScoring) ------------------------------
+    // -- The scheduler: coordinator tick loop + stage workers -------
     void coordinatorLoop();
     void stageWorkerLoop(unsigned slot);
 
@@ -394,7 +374,9 @@ class Engine : public StreamEndpoint
     /** Terminal handles, oldest first, awaiting eviction
      *  (EngineOptions::retiredHandleCap bounds the window). */
     std::deque<std::uint64_t> retiredHandles;
-    unsigned liveOpen = 0;              //!< streams not yet terminal
+    /** Live streams not yet terminal: the admission count that
+     *  open() holds to maxBatchSessions. */
+    std::size_t liveOpen = 0;
     /** Saturation already warned about; rearmed when a slot frees,
      *  so sustained overload logs once per episode, not per open(). */
     bool capacityWarned = false;
@@ -435,7 +417,7 @@ class Engine : public StreamEndpoint
         deadlines;
     std::condition_variable watchdogWake;  //!< new deadline or stop
 
-    // Stage-dispatch state (batch mode): the coordinator publishes a
+    // Stage-dispatch state: the coordinator publishes a
     // (generation, fn, count) triple; each stage worker processes its
     // static index slice and reports done.  A new stage cannot start
     // until every worker reported, so no worker can ever observe a
@@ -455,13 +437,13 @@ class Engine : public StreamEndpoint
     server::EngineStats stats_;
     std::chrono::steady_clock::time_point startTime;
     /**
-     * Batch mode only.  Kept apart from the pool because shutdown
-     * order matters: the stage workers must outlive the coordinator
-     * (it may have a stage generation in flight that they have to
-     * complete), so ~Engine joins it before setting stageStop.
+     * Kept apart from the pool because shutdown order matters: the
+     * stage workers must outlive the coordinator (it may have a
+     * stage generation in flight that they have to complete), so
+     * ~Engine joins it before setting stageStop.
      */
     std::thread coordinator;
-    std::vector<std::thread> workers;  //!< stage or session workers
+    std::vector<std::thread> workers;  //!< stage workers
     /** Deadline enforcement; started by the first open() that
      *  carries a deadline, joined by ~Engine after drain(). */
     std::thread watchdog;

@@ -75,9 +75,11 @@ enum class StreamState
  * from "this request can never succeed".  The split is exactly the
  * load-shedding decision a front door has to make:
  *
- *  - Capacity is *recoverable*: every per-session worker slot is
- *    taken right now; the same open() succeeds once a stream
- *    finishes.  A server maps this to a protocol-level RETRY_AFTER.
+ *  - Capacity is *recoverable*: the engine's admission limit
+ *    (EngineOptions::maxBatchSessions open live streams, one
+ *    coordinator slot each) is reached right now; the same open()
+ *    succeeds once a stream finishes or is cancelled.  A server maps
+ *    this to a protocol-level RETRY_AFTER.
  *  - InvalidOptions is *permanent* for these options: an unknown
  *    vad::Detector name, or wakeWord without autoEndpoint.  Retrying
  *    cannot help; a server maps this to a hard ERROR.

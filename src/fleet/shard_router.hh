@@ -76,8 +76,8 @@ struct RouterOptions
     /** Number of engine shards (>= 1). */
     unsigned shards = 2;
 
-    /** Per-shard engine configuration (numThreads is per shard, so
-     *  per-session-mode capacity is shards x numThreads streams). */
+    /** Per-shard engine configuration (per shard, so live-stream
+     *  capacity is shards x maxBatchSessions streams). */
     api::EngineOptions engine;
 
     /**

@@ -448,8 +448,9 @@ Server::handleOpen(Connection &conn, const Frame &frame)
         sendRetryAfter(conn, frame.streamId, monitor.backoffHintMs());
         return;
     }
-    // Server-level admission bound next: it protects the engine in
-    // batch mode, which would otherwise admit any number of streams.
+    // Server-level admission bound next: the operator's valve
+    // across all connections, checked before the engine's own
+    // limit (one live stream per coordinator slot).
     if (opts.maxStreams != 0 && activeStreams() >= opts.maxStreams) {
         sendRetryAfter(conn, frame.streamId, opts.retryAfterMs);
         return;

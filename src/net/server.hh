@@ -68,9 +68,9 @@ struct ServerOptions
     /**
      * Server-level admission bound across all connections: OPENs
      * beyond this many concurrently open/finishing streams answer
-     * RETRY_AFTER.  0 defers entirely to the engine (whose
-     * per-session mode rejects with OpenStatus::Capacity; batch mode
-     * admits any number).
+     * RETRY_AFTER.  0 defers entirely to the engine, which answers
+     * OpenStatus::Capacity (also RETRY_AFTER) once
+     * EngineOptions::maxBatchSessions live streams are open.
      */
     std::size_t maxStreams = 0;
 

@@ -52,7 +52,6 @@ struct AsrSystemConfig
     unsigned trainUtterPerPhoneme = 40;  //!< training segments
     unsigned trainEpochs = 30;
     float beam = 14.0f;
-    bool useAccelerator = true;    //!< else: software decoder
 
     /**
      * Acoustic scoring backend (see acoustic/backend.hh).  Blocked is

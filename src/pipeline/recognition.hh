@@ -1,11 +1,7 @@
 /**
  * @file
- * The result type every recognition path returns.
- *
- * Split out of asr_system.hh so the layers underneath the AsrSystem
- * facade (server sessions, the api::Engine) can speak the same result
- * type without pulling in the facade itself: asr_system.hh is now a
- * thin shim over api::Engine, which sits *above* the server layer.
+ * The result type every recognition path returns: server sessions
+ * produce it and api::Engine delivers it, so it lives below both.
  */
 
 #ifndef ASR_PIPELINE_RECOGNITION_HH

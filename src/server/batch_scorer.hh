@@ -3,7 +3,7 @@
  * Cross-session batched DNN scoring (the paper's Sec. III-A insight
  * applied to serving): GEMM efficiency on a throughput device comes
  * from batch size, so instead of every session running its own
- * one-row forward per frame, the scheduler's batch mode coalesces
+ * one-row forward per frame, api::Engine's coordinator coalesces
  * the pending spliced frames of *all* active sessions into a single
  * forward pass per tick.  The acoustic::Backend's row-wise
  * bit-identity contract makes this free of numeric consequences on
@@ -11,7 +11,7 @@
  * per-frame scoring no matter how frames are coalesced.
  *
  * Single-threaded by design: one BatchScorer is driven by the
- * scheduler's coordinator between the parallel advance/consume
+ * engine's coordinator between the parallel advance/consume
  * stages; sessions read their score rows back concurrently via
  * consumePendingScores (disjoint rows of the immutable result).
  */

@@ -10,6 +10,9 @@ SegmentedSession::SegmentedSession(const pipeline::AsrModel &model,
                                    const SegmentedConfig &config)
     : model(model), cfg(config), endpointer(cfg.endpoint)
 {
+    ASR_ASSERT(cfg.session.deferScoring,
+               "segment sessions are scored by an external batch "
+               "scorer (set SessionConfig::deferScoring)");
     ASR_ASSERT(cfg.endpoint.sampleRate ==
                    model.mfcc().config().sampleRate,
                "endpointer sample rate %u != model sample rate %u",
@@ -26,7 +29,7 @@ SegmentedSession::~SegmentedSession() = default;
 void
 SegmentedSession::pushAudio(std::span<const float> samples)
 {
-    ASR_ASSERT(!finishing_ && !finished, "pushAudio after finish");
+    ASR_ASSERT(!finishing_, "pushAudio after finish");
     pushed += samples.size();
     std::span<const float> live = samples;
     if (gate && !gate->isOpen()) {
@@ -43,36 +46,17 @@ SegmentedSession::pushAudio(std::span<const float> samples)
 std::vector<wfst::WordId>
 SegmentedSession::partialWords() const
 {
-    // While a deferred SegmentEnd is parked (closing), `current` is
-    // already flushed; its hypothesis is delivered as the segment
-    // result, so the live partial resets -- exactly as it does in
-    // inline mode, where the session is gone by this point.
+    // While a SegmentEnd is parked (closing), `current` is already
+    // flushed; its hypothesis is delivered as the segment result, so
+    // the live partial resets.
     if (!current || closing)
         return {};
     return current->partialWords();
 }
 
-pipeline::RecognitionResult
-SegmentedSession::finish()
-{
-    ASR_ASSERT(!cfg.session.deferScoring,
-               "inline finish on a deferred-scoring session");
-    ASR_ASSERT(!finished, "finish called twice");
-    endpointer.flush();
-    pump();
-    ASR_ASSERT(!current && !endpointer.eventReady(),
-               "inline pump left unresolved segments");
-    finished = true;
-    if (lastResult)
-        return std::move(*lastResult);
-    return emptyResult();
-}
-
 void
 SegmentedSession::beginFinish()
 {
-    ASR_ASSERT(cfg.session.deferScoring,
-               "beginFinish on an inline-scoring session");
     ASR_ASSERT(!finishing_, "beginFinish called twice");
     finishing_ = true;
     endpointer.flush();
@@ -97,7 +81,6 @@ pipeline::RecognitionResult
 SegmentedSession::finalizeFinish()
 {
     ASR_ASSERT(finishReady(), "finalizeFinish before finishReady");
-    finished = true;
     if (lastResult)
         return std::move(*lastResult);
     return emptyResult();
@@ -113,9 +96,9 @@ void
 SegmentedSession::pump()
 {
     using Kind = frontend::EndpointEvent::Kind;
-    // A deferred SegmentEnd parks the pump (closing) until the
-    // driver has scored the flushed rows and calls finalizeSegment;
-    // buffered events keep their order in the endpointer queue.
+    // A SegmentEnd parks the pump (closing) until the coordinator
+    // has scored the flushed rows and calls finalizeSegment; buffered
+    // events keep their order in the endpointer queue.
     while (!closing && endpointer.eventReady()) {
         frontend::EndpointEvent ev = endpointer.pop();
         switch (ev.kind) {
@@ -130,18 +113,10 @@ SegmentedSession::pump()
             break;
         case Kind::SegmentEnd:
             ASR_ASSERT(current, "segment end outside a segment");
-            if (!cfg.session.deferScoring) {
-                pipeline::RecognitionResult result = current->finish();
-                current.reset();
-                emitSegment(std::move(result),
-                            ev.startSample + suppressed,
-                            ev.endSample + suppressed);
-            } else {
-                current->flushPending();
-                closing = true;
-                closeStart = ev.startSample + suppressed;
-                closeEnd = ev.endSample + suppressed;
-            }
+            current->flushPending();
+            closing = true;
+            closeStart = ev.startSample + suppressed;
+            closeEnd = ev.endSample + suppressed;
             break;
         }
     }
@@ -164,12 +139,10 @@ SegmentedSession::emitSegment(pipeline::RecognitionResult result,
 pipeline::RecognitionResult
 SegmentedSession::emptyResult()
 {
-    // A no-speech stream still resolves its finish() future with a
+    // A no-speech stream still resolves its final result with a
     // well-formed (empty) decode, exactly as a zero-sample
     // StreamingSession would produce it.
     StreamingSession empty(model, cfg.session);
-    if (!cfg.session.deferScoring)
-        return empty.finish();
     empty.flushPending();
     return empty.finalizeFinish();
 }

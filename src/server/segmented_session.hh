@@ -18,25 +18,20 @@
  * manual StreamingSession decode of that slice -- the contract
  * tests/endpointing_corpus_test.cc asserts.
  *
- * Driving styles (mirrors StreamingSession's dual protocol):
- *
- *  - Inline scoring (cfg.session.deferScoring == false): pushAudio()
- *    does everything synchronously, including finishing segments and
- *    firing onSegment; finish() closes the stream and returns the
- *    final result (the last segment's, or an empty decode when the
- *    stream contained no speech).
- *
- *  - Deferred scoring (deferScoring == true, the batch coordinator):
- *    pushAudio() only accumulates spliced rows in the active
- *    StreamingSession; the driver scores them externally and then
- *    resolves segment closes:
- *      pushAudio ... / beginFinish
- *        -> active()->exportPending / consumePendingScores (driver)
- *        -> segmentClosing() && pendingRows()==0: finalizeSegment()
- *        -> finishReady(): finalizeFinish()
- *    A SegmentEnd is *not* resolved inside pushAudio (the rows are
- *    not scored yet); pushAudio stops pumping events at the close and
- *    resumes after finalizeSegment(), preserving event order.
+ * Segment sessions use deferred scoring (cfg.session.deferScoring
+ * must be set; the constructor asserts it), driven by api::Engine's
+ * coordinator: pushAudio() only accumulates spliced rows in the
+ * active StreamingSession; the coordinator scores them externally and
+ * then resolves segment closes:
+ *   pushAudio ... / beginFinish
+ *     -> active()->exportPending / consumePendingScores (coordinator)
+ *     -> segmentClosing() && pendingRows()==0: finalizeSegment()
+ *     -> finishReady(): finalizeFinish()
+ * A SegmentEnd is *not* resolved inside pushAudio (the rows are not
+ * scored yet); pushAudio stops pumping events at the close and
+ * resumes after finalizeSegment(), preserving event order.  The
+ * final result is the last segment's, or an empty decode when the
+ * stream contained no speech.
  *
  * Thread safety: none (like StreamingSession).  The batch coordinator
  * may call pushAudio and finalizeSegment from different threads, but
@@ -71,7 +66,8 @@ struct SegmentBoundary
 /** Configuration of one always-on session. */
 struct SegmentedConfig
 {
-    /** Decode knobs shared by every segment's StreamingSession. */
+    /** Decode knobs shared by every segment's StreamingSession
+     *  (deferScoring must be set). */
     SessionConfig session;
 
     /** Segmentation knobs (detector name, onset/hangover, ...). */
@@ -111,15 +107,7 @@ class SegmentedSession
      *  segments). */
     std::vector<wfst::WordId> partialWords() const;
 
-    /**
-     * Inline mode only: end of stream.  Flushes the endpointer,
-     * finishes any open segment (firing onSegment), and returns the
-     * final result: the last segment's, or an empty decode when no
-     * segment was ever detected.
-     */
-    pipeline::RecognitionResult finish();
-
-    // -- Deferred-scoring protocol (cfg.session.deferScoring) -------
+    // -- Deferred-scoring protocol -----------------------------------
 
     /** End of stream: flush the endpointer and start draining. */
     void beginFinish();
@@ -175,7 +163,7 @@ class SegmentedSession
     const SegmentedConfig &config() const { return cfg; }
 
   private:
-    /** Drain endpointer events until empty or a deferred close. */
+    /** Drain endpointer events until empty or a segment close. */
     void pump();
 
     /** Record + emit one finished segment. */
@@ -204,9 +192,8 @@ class SegmentedSession
     std::uint64_t segCount = 0;
     std::uint64_t pushed = 0;
     std::uint64_t suppressed = 0;
-    bool closing = false;    //!< deferred SegmentEnd awaiting scores
+    bool closing = false;    //!< SegmentEnd awaiting scores
     bool finishing_ = false; //!< beginFinish() called
-    bool finished = false;   //!< final result taken
 };
 
 } // namespace asr::server

@@ -13,7 +13,7 @@
  * decoder lags the audio by contextFrames x 10 ms; finish() flushes
  * the tail with the same edge replication spliceContext uses.  By
  * construction the final result is bit-identical to the batch path
- * (AsrSystem::recognize / decoder.decode over the whole utterance).
+ * (scorer().score + decoder.decode over the whole utterance).
  *
  * Sessions share one immutable pipeline::AsrModel (never mutated;
  * see model.hh for the thread-safety contract) and privately own all
@@ -38,10 +38,6 @@
 #include "acoustic/backend.hh"
 #include "acoustic/matrix.hh"
 #include "common/rng.hh"
-// Not used by the session itself since the search::Backend registry
-// took over backend selection, but part of this header's established
-// include surface (callers compare sessions against bare decoders).
-#include "decoder/viterbi.hh"
 #include "frontend/mfcc.hh"
 #include "pipeline/model.hh"
 #include "pipeline/recognition.hh"
@@ -51,23 +47,19 @@ namespace asr::server {
 
 /**
  * The per-session search/reproducibility knobs every engine surface
- * shares.  SessionConfig, SchedulerConfig and api::EngineOptions all
- * embed this one struct (by inheritance, so the field names stay
- * flat for existing callers) and hand it down by slice assignment --
- * a new knob added here flows through every layer with no
- * copy-through to forget.
+ * shares.  SessionConfig and api::EngineOptions both embed this one
+ * struct (by inheritance, so the field names stay flat) and hand it
+ * down by slice assignment -- a new knob added here flows through
+ * every layer with no copy-through to forget.
  */
 struct SessionKnobs
 {
     /**
      * Search backend registry name ("viterbi", "baseline", "accel",
      * or anything registered via search::registerBackend).  Empty
-     * selects the legacy useAccelerator switch below.
+     * selects "viterbi".
      */
     std::string searchBackend;
-
-    /** Legacy backend switch, honoured when searchBackend is empty. */
-    bool useAccelerator = false;
 
     /** Accel cycle simulation per frame (cannot change results). */
     bool runTiming = false;
@@ -100,9 +92,8 @@ struct SessionKnobs
     std::string_view
     effectiveSearchBackend() const
     {
-        if (!searchBackend.empty())
-            return searchBackend;
-        return useAccelerator ? "accel" : "viterbi";
+        return searchBackend.empty() ? std::string_view("viterbi")
+                                     : std::string_view(searchBackend);
     }
 };
 
@@ -121,6 +112,9 @@ struct SessionConfig : SessionKnobs
      *   forward) -> consumePendingScores -> finalizeFinish.
      * Results are bit-identical to inline scoring on the float
      * backends (row-wise forward; see acoustic/backend.hh).
+     * api::Engine always sets this; inline scoring (false) is the
+     * self-contained reference decoder tests and benchmarks compare
+     * served results against.
      */
     bool deferScoring = false;
 };
@@ -145,8 +139,8 @@ class StreamingSession
     /**
      * Close the utterance: flush buffered frames, epsilon-close,
      * backtrack.  The session cannot accept audio afterwards.
-     * Inline-scoring sessions only; deferred sessions close via
-     * flushPending + consumePendingScores + finalizeFinish.
+     * Inline-scoring (reference) sessions only; deferred sessions
+     * close via flushPending + consumePendingScores + finalizeFinish.
      */
     pipeline::RecognitionResult finish();
 

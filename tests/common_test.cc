@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the common utilities: bit helpers, the reproducible
- * RNG, unit formatting, the table renderer, and the CPU-feature
- * dispatch predicate behind the SIMD kernels.
+ * RNG, unit formatting, the table renderer, the CPU-feature dispatch
+ * predicate behind the SIMD kernels, and the strict argv port parser
+ * the network tools share.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/bits.hh"
+#include "common/cli.hh"
 #include "common/cpuinfo.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
@@ -222,4 +224,39 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_NE(out.find("1.87x"), std::string::npos);
     // Header separator present.
     EXPECT_NE(out.find("|---"), std::string::npos);
+}
+
+TEST(Cli, PortParserAcceptsOnlyStrictDecimalPorts)
+{
+    std::uint16_t port = 0;
+    EXPECT_TRUE(tryParsePort("18000", false, port));
+    EXPECT_EQ(port, 18000u);
+    EXPECT_TRUE(tryParsePort("1", false, port));
+    EXPECT_EQ(port, 1u);
+    EXPECT_TRUE(tryParsePort("65535", false, port));
+    EXPECT_EQ(port, 65535u);
+
+    // Out of range -- including a value that would wrap onto 18000
+    // if it were narrowed before the check -- trailing junk, a sign,
+    // leading whitespace, and the empty string are all rejected, and
+    // a rejection leaves the output untouched.
+    port = 7;
+    for (const char *bad : {"65536", "4294985296", "18446744073709569616",
+                            "18000x", "-1", "+80", " 80", "", "abc"})
+        EXPECT_FALSE(tryParsePort(bad, true, port)) << "'" << bad << "'";
+    EXPECT_EQ(port, 7u);
+
+    // Port 0 (ephemeral) only where the caller allows it.
+    EXPECT_FALSE(tryParsePort("0", false, port));
+    EXPECT_TRUE(tryParsePort("0", true, port));
+    EXPECT_EQ(port, 0u);
+}
+
+TEST(Cli, PortArgExitsOnABadPort)
+{
+    EXPECT_EQ(parsePortArg("18000", false), 18000u);
+    EXPECT_EXIT(parsePortArg("18000x", false),
+                ::testing::ExitedWithCode(EXIT_FAILURE), "invalid port");
+    EXPECT_EXIT(parsePortArg("0", false),
+                ::testing::ExitedWithCode(EXIT_FAILURE), "invalid port");
 }

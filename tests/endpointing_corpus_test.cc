@@ -12,12 +12,15 @@
  *    pathological push sizes (the determinism contract).
  *  - Engine integration: a live stream opened with
  *    StreamOptions::autoEndpoint emits, per detected segment, a
- *    result *bit-identical* to a manual decode of exactly that
- *    sample range -- in per-session AND batch-scoring mode.
+ *    result *bit-identical* to a manual inline-scoring
+ *    StreamingSession decode of exactly that sample range, at
+ *    several thread counts and coordinator slot counts.  ("Both
+ *    modes" in the test names: the engine's deferred scoring against
+ *    the inline reference.)
  *  - Wake-word gating: nothing is decoded before the wake phrase.
  *  - Races (concurrency label, TSan in CI): a client finish()
  *    landing while trailing silence is auto-finishing a segment
- *    resolves to exactly one final result in both modes.
+ *    resolves to exactly one final result.
  */
 
 #include <atomic>
@@ -32,6 +35,7 @@
 #include "api/engine.hh"
 #include "common/logging.hh"
 #include "frontend/endpointer.hh"
+#include "server/session.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
@@ -156,25 +160,24 @@ class EndpointingTest : public ::testing::Test
         return {segs, std::move(final_result)};
     }
 
-    /** Manual reference: one-shot decode of exactly [start, end). */
+    /** Manual reference: an inline-scoring StreamingSession decode
+     *  of exactly @p samples as session @p id. */
     static pipeline::RecognitionResult
-    manualDecode(Engine &engine, const EndpointCorpusUtterance &u,
-                 const LabeledSegment &seg)
+    manualDecode(std::span<const float> samples, std::uint64_t id)
     {
-        frontend::AudioSignal slice;
-        slice.sampleRate = u.audio.sampleRate;
-        slice.samples.assign(
-            u.audio.samples.begin() + std::ptrdiff_t(seg.startSample),
-            u.audio.samples.begin() + std::ptrdiff_t(seg.endSample));
-        return engine.recognize(slice);
+        server::SessionConfig cfg;
+        cfg.id = id;
+        server::StreamingSession session(*model, cfg);
+        session.pushAudio(samples);
+        return session.finish();
     }
 
     static EngineOptions
-    engineOptions(bool batched)
+    engineOptions(unsigned threads = 3, std::size_t slots = 32)
     {
         EngineOptions opts;
-        opts.numThreads = 3;
-        opts.batchScoring = batched;
+        opts.numThreads = threads;
+        opts.maxBatchSessions = slots;
         return opts;
     }
 
@@ -268,42 +271,52 @@ TEST_F(EndpointingTest, AutoSegmentsMatchManualDecodesBothModes)
     ASSERT_EQ(expect.size(), 2u)
         << "recording seed must segment cleanly";
 
-    for (const bool batched : {false, true}) {
-        SCOPED_TRACE(batched ? "batch" : "per-session");
-        Engine engine(*model, engineOptions(batched));
-        const auto [segs, final_result] = streamAuto(engine, u, 160);
+    for (const unsigned threads : {1u, 3u}) {
+        for (const std::size_t slots : {std::size_t(1),
+                                        std::size_t(32)}) {
+            SCOPED_TRACE(testing::Message() << threads << " threads, "
+                                            << slots << " slots");
+            Engine engine(*model, engineOptions(threads, slots));
+            const auto [segs, final_result] =
+                streamAuto(engine, u, 160);
 
-        ASSERT_EQ(segs.size(), expect.size());
-        for (std::size_t i = 0; i < expect.size(); ++i) {
-            // Sample-exact boundaries, in order.
-            EXPECT_EQ(segs[i].boundary.index, i);
-            EXPECT_EQ(segs[i].boundary.startSample,
-                      expect[i].startSample);
-            EXPECT_EQ(segs[i].boundary.endSample,
-                      expect[i].endSample);
-            // Bit-identical decode of that range.
-            const pipeline::RecognitionResult manual =
-                manualDecode(engine, u, expect[i]);
-            EXPECT_EQ(segs[i].result.words, manual.words)
-                << "segment " << i;
-            EXPECT_EQ(segs[i].result.score, manual.score)
-                << "segment " << i;
+            ASSERT_EQ(segs.size(), expect.size());
+            for (std::size_t i = 0; i < expect.size(); ++i) {
+                // Sample-exact boundaries, in order.
+                EXPECT_EQ(segs[i].boundary.index, i);
+                EXPECT_EQ(segs[i].boundary.startSample,
+                          expect[i].startSample);
+                EXPECT_EQ(segs[i].boundary.endSample,
+                          expect[i].endSample);
+                // Bit-identical decode of that range.
+                const pipeline::RecognitionResult manual = manualDecode(
+                    std::span<const float>(u.audio.samples)
+                        .subspan(expect[i].startSample,
+                                 expect[i].endSample -
+                                     expect[i].startSample),
+                    segs[i].result.sessionId);
+                EXPECT_EQ(segs[i].result.words, manual.words)
+                    << "segment " << i;
+                EXPECT_EQ(segs[i].result.score, manual.score)
+                    << "segment " << i;
+            }
+            // The stream's final result re-delivers the last segment.
+            EXPECT_EQ(final_result.words, segs.back().result.words);
+            EXPECT_EQ(final_result.score, segs.back().result.score);
+
+            const server::EngineSnapshot snap = engine.stats();
+            EXPECT_EQ(snap.segments, expect.size());
+            EXPECT_EQ(snap.gateOpens, 0u);
+            EXPECT_NE(snap.render().find("always-on"),
+                      std::string::npos);
         }
-        // The stream's final result re-delivers the last segment.
-        EXPECT_EQ(final_result.words, segs.back().result.words);
-        EXPECT_EQ(final_result.score, segs.back().result.score);
-
-        const server::EngineSnapshot snap = engine.stats();
-        EXPECT_EQ(snap.segments, expect.size());
-        EXPECT_EQ(snap.gateOpens, 0u);
-        EXPECT_NE(snap.render().find("always-on"), std::string::npos);
     }
 }
 
 TEST_F(EndpointingTest, AutoSegmentsAreChunkInvariantThroughEngine)
 {
     const EndpointCorpusUtterance u = recording(8, 1);
-    Engine engine(*model, engineOptions(false));
+    Engine engine(*model, engineOptions());
 
     const auto [ref, ref_final] = streamAuto(engine, u, 160);
     ASSERT_EQ(ref.size(), 1u);
@@ -322,32 +335,33 @@ TEST_F(EndpointingTest, AutoSegmentsAreChunkInvariantThroughEngine)
 
 TEST_F(EndpointingTest, SilentStreamYieldsEmptyFinalBothModes)
 {
-    for (const bool batched : {false, true}) {
-        SCOPED_TRACE(batched ? "batch" : "per-session");
-        Engine engine(*model, engineOptions(batched));
-        std::atomic<int> segments{0};
-        StreamOptions sopts;
-        sopts.autoEndpoint = true;
-        sopts.onSegment = [&](const pipeline::RecognitionResult &,
-                              const server::SegmentBoundary &) {
-            ++segments;
-        };
-        const StreamHandle h = engine.open(sopts);
-        ASSERT_NE(h.value, 0u);
-        const std::vector<float> silence(1600, 0.0f);
-        for (int i = 0; i < 20; ++i)
-            ASSERT_TRUE(engine.push(h, silence));
-        const pipeline::RecognitionResult final_result =
-            engine.finish(h).get();
-        EXPECT_TRUE(final_result.words.empty());
-        EXPECT_EQ(segments.load(), 0);
-        EXPECT_EQ(engine.stats().segments, 0u);
-    }
+    Engine engine(*model, engineOptions());
+    std::atomic<int> segments{0};
+    StreamOptions sopts;
+    sopts.autoEndpoint = true;
+    sopts.onSegment = [&](const pipeline::RecognitionResult &,
+                          const server::SegmentBoundary &) {
+        ++segments;
+    };
+    const StreamHandle h = engine.open(sopts);
+    ASSERT_NE(h.value, 0u);
+    const std::vector<float> silence(1600, 0.0f);
+    for (int i = 0; i < 20; ++i)
+        ASSERT_TRUE(engine.push(h, silence));
+    const pipeline::RecognitionResult final_result =
+        engine.finish(h).get();
+    // No segment: the final result is the empty decode an inline
+    // zero-sample session produces.
+    const pipeline::RecognitionResult empty = manualDecode({}, 0);
+    EXPECT_TRUE(final_result.words.empty());
+    EXPECT_EQ(final_result.score, empty.score);
+    EXPECT_EQ(segments.load(), 0);
+    EXPECT_EQ(engine.stats().segments, 0u);
 }
 
 TEST_F(EndpointingTest, UnknownDetectorAndBareWakeWordAreRejected)
 {
-    Engine engine(*model, engineOptions(false));
+    Engine engine(*model, engineOptions());
     {
         StreamOptions sopts;
         sopts.autoEndpoint = true;
@@ -398,7 +412,7 @@ TEST_F(EndpointingTest, WakeWordGatesDecodingUntilPhrase)
     append(command.samples);
     append(gap);
 
-    Engine engine(*model, engineOptions(false));
+    Engine engine(*model, engineOptions());
     std::vector<server::SegmentBoundary> boundaries;
     std::mutex mu;
     StreamOptions sopts;
@@ -443,9 +457,10 @@ TEST_F(EndpointingTest, WakeWordGatesDecodingUntilPhrase)
 TEST_F(EndpointingTest, FinishRacingAutoEndpointResolvesOnceBothModes)
 {
     const EndpointCorpusUtterance u = recording(11, 1);
-    for (const bool batched : {false, true}) {
-        SCOPED_TRACE(batched ? "batch" : "per-session");
-        Engine engine(*model, engineOptions(batched));
+    // Two thread counts vary the interleavings the race can take.
+    for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(testing::Message() << threads << " threads");
+        Engine engine(*model, engineOptions(threads));
         // Several rounds to vary the interleaving: the pusher stops
         // right after the burst's trailing silence entered the
         // queue, so the engine-side auto-finish of the segment races

@@ -118,7 +118,6 @@ class FleetTest : public ::testing::Test
         RouterOptions ropts;
         ropts.shards = shards;
         ropts.engine.numThreads = 2;
-        ropts.engine.batchScoring = true;
         return ropts;
     }
 
@@ -369,13 +368,18 @@ TEST_F(FleetTest, CapacityRejectionFallsOverToOtherShards)
 {
     RouterOptions ropts;
     ropts.shards = 2;
-    ropts.engine.numThreads = 1;  // per-session mode: 1 stream/shard
-    ropts.engine.batchScoring = false;
+    ropts.engine.numThreads = 1;
+    ropts.engine.maxBatchSessions = 1;  // one live stream per shard
     ShardRouter router(*model, ropts);
 
     std::uint64_t key0 = 0;
     while (router.placeKey(key0) != 0)
         ++key0;
+
+    // One-shot jobs in flight on shard 0 do not take its slot.
+    const frontend::AudioSignal audio = testAudio(5);
+    std::future<pipeline::RecognitionResult> job =
+        router.shard(0).submit(audio);
 
     // First open lands on its rendezvous shard 0 and fills it.
     OpenStatus status = OpenStatus::Capacity;
@@ -396,8 +400,21 @@ TEST_F(FleetTest, CapacityRejectionFallsOverToOtherShards)
     EXPECT_EQ(third.value, 0u);
     EXPECT_EQ(router.counters().opensRejected, 1u);
 
+    // Cancelling the stream on shard 0 frees its slot: the key opens
+    // again (on shard 0, or wherever the rebalancer prefers).
     EXPECT_TRUE(router.cancel(first));
-    EXPECT_TRUE(router.cancel(second));
+    const StreamHandle fourth = router.openKeyed(key0, {}, status);
+    ASSERT_EQ(status, OpenStatus::Ok);
+    EXPECT_NE(fourth.value, 0u);
+
+    // Finishing a stream frees its slot too.
+    pushAll(router, second, audio);
+    EXPECT_GT(router.finish(second).get().audioSeconds, 0.0);
+    const StreamHandle fifth = router.openKeyed(key0, {}, status);
+    ASSERT_EQ(status, OpenStatus::Ok);
+    EXPECT_TRUE(router.cancel(fourth));
+    EXPECT_TRUE(router.cancel(fifth));
+    EXPECT_GT(job.get().audioSeconds, 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@
  * Client over real TCP sockets):
  *
  *  - Bit-identity: audio streamed through the protocol produces
- *    exactly the words and score of the same audio pushed through an
- *    in-process Engine with matching session ids, in both batch and
- *    per-session engine modes.
+ *    exactly the words and score of an inline-scoring
+ *    StreamingSession (the reference decoder) and of an in-process
+ *    Engine over the same audio, with matching session ids.
  *  - Multiplexing: several interleaved streams on one connection all
  *    come back bit-identical.
- *  - The RETRY_AFTER contract, from both sources: a saturated
- *    per-session engine (OpenStatus::Capacity) and the server-level
- *    maxStreams admission bound.  In both cases the same OPEN
- *    succeeds after a slot frees -- the rejection is recoverable.
+ *  - The RETRY_AFTER contract, from both sources: the engine's
+ *    admission limit (OpenStatus::Capacity once maxBatchSessions
+ *    live streams are open; one-shot jobs do not count) and the
+ *    server-level maxStreams admission bound.  In both cases the
+ *    same OPEN succeeds after a slot frees -- the rejection is
+ *    recoverable.
  *  - Robustness: a mid-utterance disconnect cancels the abandoned
  *    engine stream; malformed bytes poison only their own
  *    connection; requests against unknown/duplicate streams answer
@@ -23,6 +25,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <span>
 #include <string>
 #include <sys/socket.h>
@@ -36,6 +39,7 @@
 #include "common/rng.hh"
 #include "net/client.hh"
 #include "net/server.hh"
+#include "server/session.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
@@ -98,6 +102,19 @@ class NetServerTest : public ::testing::Test
         return model->synthesizer().synthesize(seq, 3);
     }
 
+    /** The reference decoder: @p audio through an inline-scoring
+     *  StreamingSession as session @p id. */
+    static pipeline::RecognitionResult
+    referenceDecode(const frontend::AudioSignal &audio,
+                    std::uint64_t id = 0)
+    {
+        server::SessionConfig cfg;
+        cfg.id = id;
+        server::StreamingSession session(*model, cfg);
+        session.pushAudio(audio.samples);
+        return session.finish();
+    }
+
     /** Push @p audio over the wire in @p chunk-sample pieces. */
     static void
     pushAll(net::Client &client, std::uint32_t stream,
@@ -144,37 +161,35 @@ pipeline::AsrModel *NetServerTest::model = nullptr;
 
 TEST_F(NetServerTest, LoopbackMatchesInProcessEngineBitForBit)
 {
+    // The wire stream decodes as session id 0 on a fresh engine, like
+    // the references (the determinism contract keys results on the
+    // session id).
     const frontend::AudioSignal audio = testAudio(11);
-    for (const bool batched : {false, true}) {
-        // Reference: a fresh in-process engine, so the wire stream
-        // and the reference both decode as session id 0 (the
-        // determinism contract keys results on the session id).
-        EngineOptions opts;
-        opts.numThreads = 2;
-        opts.batchScoring = batched;
-        pipeline::RecognitionResult want;
-        {
-            Engine reference(*model, opts);
-            want = reference.recognize(audio);
-        }
-
-        Engine engine(*model, opts);
-        net::Server server(engine);
-        net::Client client;
-        ASSERT_TRUE(client.connect("127.0.0.1", server.port()))
-            << client.lastError();
-        ASSERT_EQ(client.openStream(1),
-                  net::Client::OpenOutcome::Ok)
-            << client.lastError();
-        pushAll(client, 1, audio, 512);
-
-        net::FinalResult got;
-        ASSERT_TRUE(client.finishStream(1, got))
-            << client.lastError();
-        EXPECT_EQ(got.words, want.words) << "batched=" << batched;
-        EXPECT_EQ(got.score, want.score) << "batched=" << batched;
-        EXPECT_DOUBLE_EQ(got.audioSeconds, want.audioSeconds);
+    const pipeline::RecognitionResult want = referenceDecode(audio);
+    EngineOptions opts;
+    opts.numThreads = 2;
+    {
+        Engine inProcess(*model, opts);
+        const pipeline::RecognitionResult local =
+            inProcess.recognize(audio);
+        EXPECT_EQ(local.words, want.words);
+        EXPECT_EQ(local.score, want.score);
     }
+
+    Engine engine(*model, opts);
+    net::Server server(engine);
+    net::Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()))
+        << client.lastError();
+    ASSERT_EQ(client.openStream(1), net::Client::OpenOutcome::Ok)
+        << client.lastError();
+    pushAll(client, 1, audio, 512);
+
+    net::FinalResult got;
+    ASSERT_TRUE(client.finishStream(1, got)) << client.lastError();
+    EXPECT_EQ(got.words, want.words);
+    EXPECT_EQ(got.score, want.score);
+    EXPECT_DOUBLE_EQ(got.audioSeconds, want.audioSeconds);
 }
 
 TEST_F(NetServerTest, InterleavedStreamsOnOneConnectionStayIdentical)
@@ -184,26 +199,13 @@ TEST_F(NetServerTest, InterleavedStreamsOnOneConnectionStayIdentical)
     for (unsigned u = 0; u < kStreams; ++u)
         audio.push_back(testAudio(100 + u, 5 + u));
 
+    // Stream k opens k-th on a fresh engine: session id k.
+    std::vector<pipeline::RecognitionResult> want;
+    for (unsigned u = 0; u < kStreams; ++u)
+        want.push_back(referenceDecode(audio[u], u));
+
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
-
-    // Reference: same open order on a fresh engine, so stream k gets
-    // session id k on both sides.
-    std::vector<pipeline::RecognitionResult> want;
-    {
-        Engine reference(*model, opts);
-        std::vector<api::StreamHandle> handles;
-        for (unsigned u = 0; u < kStreams; ++u)
-            handles.push_back(reference.open());
-        for (unsigned u = 0; u < kStreams; ++u)
-            ASSERT_TRUE(reference.push(
-                handles[u],
-                std::span<const float>(audio[u].samples)));
-        for (unsigned u = 0; u < kStreams; ++u)
-            want.push_back(reference.finish(handles[u]).get());
-    }
-
     Engine engine(*model, opts);
     net::Server server(engine);
     net::Client client;
@@ -279,15 +281,19 @@ TEST_F(NetServerTest, PartialsArriveWhileStreaming)
 
 TEST_F(NetServerTest, EngineCapacityAnswersRetryAfterAndRecovers)
 {
-    // Per-session mode with one worker: the second OPEN hits
+    // One coordinator slot: the second OPEN hits
     // OpenStatus::Capacity inside the engine.
     EngineOptions opts;
     opts.numThreads = 1;
-    opts.batchScoring = false;
+    opts.maxBatchSessions = 1;
     Engine engine(*model, opts);
     net::ServerOptions sopts;
     sopts.retryAfterMs = 5;
     net::Server server(engine, sopts);
+
+    // One-shot jobs in flight do not take the slot.
+    const frontend::AudioSignal audio = testAudio(21);
+    std::future<pipeline::RecognitionResult> job = engine.submit(audio);
 
     net::Client client;
     ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
@@ -298,7 +304,6 @@ TEST_F(NetServerTest, EngineCapacityAnswersRetryAfterAndRecovers)
 
     // Free the slot; the *same* OPEN must now succeed -- the
     // rejection was recoverable, not a poisoned stream id.
-    const frontend::AudioSignal audio = testAudio(21);
     pushAll(client, 1, audio, 1024);
     net::FinalResult first;
     ASSERT_TRUE(client.finishStream(1, first));
@@ -310,15 +315,15 @@ TEST_F(NetServerTest, EngineCapacityAnswersRetryAfterAndRecovers)
     ASSERT_TRUE(client.finishStream(2, second));
     EXPECT_GE(server.counters().retryAfterSent, 1u);
     EXPECT_EQ(server.counters().streamsFinished, 2u);
+    EXPECT_EQ(job.get().words, first.words);
 }
 
 TEST_F(NetServerTest, ServerMaxStreamsBoundsAdmissionAcrossConnections)
 {
-    // Batch mode admits unboundedly at the engine, so the server's
-    // own admission bound is the only shed valve.
+    // The engine admits maxBatchSessions (32) live streams, so here
+    // the server's own tighter bound is what sheds.
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
     Engine engine(*model, opts);
     net::ServerOptions sopts;
     sopts.maxStreams = 1;
@@ -350,7 +355,7 @@ TEST_F(NetServerTest, MidUtteranceDisconnectCancelsTheEngineStream)
 {
     EngineOptions opts;
     opts.numThreads = 1;
-    opts.batchScoring = false;
+    opts.maxBatchSessions = 1;
     Engine engine(*model, opts);
     net::Server server(engine);
 
@@ -366,8 +371,8 @@ TEST_F(NetServerTest, MidUtteranceDisconnectCancelsTheEngineStream)
         return server.counters().disconnectCancels == 1;
     }));
 
-    // The abandoned stream released the single worker: a new client
-    // opens immediately, no RETRY_AFTER.
+    // The abandoned stream released the engine's only slot: a new
+    // client opens immediately, no RETRY_AFTER.
     net::Client next;
     ASSERT_TRUE(next.connect("127.0.0.1", server.port()));
     EXPECT_EQ(next.openStream(1), net::Client::OpenOutcome::Ok);
@@ -377,7 +382,6 @@ TEST_F(NetServerTest, MalformedBytesPoisonOnlyTheirOwnConnection)
 {
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
     Engine engine(*model, opts);
     net::Server server(engine);
 
@@ -438,7 +442,6 @@ TEST_F(NetServerTest, UnknownAndDuplicateStreamsAnswerErrors)
 {
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
     Engine engine(*model, opts);
     net::Server server(engine);
     net::Client client;
@@ -465,7 +468,6 @@ TEST_F(NetServerTest, StopWithLiveConnectionsShutsDownCleanly)
 {
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
     Engine engine(*model, opts);
     net::Server server(engine);
 

@@ -2,15 +2,16 @@
  * @file
  * Tests for the pipeline module: corpus sampling with ground truth,
  * beam calibration, the batched system model, and the end-to-end
- * ASR facade (audio in, words out).
+ * system (audio in, words out) through api::Engine over a model
+ * trained from an AsrSystemConfig.
  */
 
 #include <gtest/gtest.h>
 
 #include "acoustic/scorer.hh"
+#include "api/engine.hh"
 #include "decoder/viterbi.hh"
 #include "decoder/wer.hh"
-#include "pipeline/asr_system.hh"
 #include "pipeline/calibrate.hh"
 #include "pipeline/corpus.hh"
 #include "pipeline/system.hh"
@@ -166,11 +167,13 @@ TEST(AsrSystem, EndToEndRecognition)
     cfg.trainUtterPerPhoneme = 12;
     cfg.trainEpochs = 12;
     cfg.beam = 14.0f;
-    cfg.useAccelerator = true;
-    AsrSystem system(net, cfg);
+    api::EngineOptions opts;
+    opts.searchBackend = "accel";
+    opts.runTiming = true;
+    api::Engine system(net, cfg, opts);
 
     // The acoustic model must have learned the synthetic phonemes.
-    EXPECT_GT(system.acousticModelAccuracy(), 0.7f);
+    EXPECT_GT(system.model().acousticModelAccuracy(), 0.7f);
 
     // Sample a true path and synthesize its audio.
     CorpusConfig ccfg;
@@ -180,7 +183,7 @@ TEST(AsrSystem, EndToEndRecognition)
     std::vector<std::uint32_t> phones(utt.framePhonemes.begin(),
                                       utt.framePhonemes.end());
     const frontend::AudioSignal audio =
-        system.synthesizer().synthesize(phones, 1);
+        system.model().synthesizer().synthesize(phones, 1);
 
     const RecognitionResult result = system.recognize(audio);
     EXPECT_GT(result.score, wfst::kLogZero);
@@ -201,10 +204,8 @@ TEST(AsrSystem, Int8BackendWerDeltaBounded)
     cfg.trainUtterPerPhoneme = 12;
     cfg.trainEpochs = 12;
     cfg.beam = 14.0f;
-    cfg.useAccelerator = false;
     cfg.seed = 13;
-    AsrSystem system(net, cfg);
-    const AsrModel &model = system.model();
+    const AsrModel model(net, cfg);
 
     // Int8 backend over the *same* trained weights.
     const auto int8 = acoustic::Backend::create(
@@ -224,7 +225,7 @@ TEST(AsrSystem, Int8BackendWerDeltaBounded)
         std::vector<std::uint32_t> phones(utt.framePhonemes.begin(),
                                           utt.framePhonemes.end());
         const frontend::AudioSignal audio =
-            system.synthesizer().synthesize(phones, 1);
+            model.synthesizer().synthesize(phones, 1);
         const frontend::FeatureMatrix feats =
             model.mfcc().compute(audio);
 
@@ -255,14 +256,16 @@ TEST(AsrSystem, SoftwareBackendAgrees)
     cfg.trainUtterPerPhoneme = 8;
     cfg.trainEpochs = 8;
     cfg.seed = 31;
+    const AsrModel model(net, cfg);
 
-    cfg.useAccelerator = true;
-    AsrSystem hw(net, cfg);
-    cfg.useAccelerator = false;
-    AsrSystem sw(net, cfg);
+    api::EngineOptions accel;
+    accel.searchBackend = "accel";
+    accel.runTiming = true;
+    api::Engine hw(model, accel);
+    api::Engine sw(model, api::EngineOptions());
 
     const frontend::AudioSignal audio =
-        hw.synthesizer().synthesize({1, 2, 3, 4, 5}, 4);
+        model.synthesizer().synthesize({1, 2, 3, 4, 5}, 4);
     const auto r_hw = hw.recognize(audio);
     const auto r_sw = sw.recognize(audio);
     EXPECT_EQ(r_hw.words, r_sw.words);

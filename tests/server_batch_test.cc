@@ -1,9 +1,11 @@
 /**
  * @file
- * Tests for cross-session batched DNN scoring (the scheduler's batch
- * mode + server::BatchScorer): per-utterance results must be
- * bit-identical to per-session inline scoring for any thread count
- * and any batch-session cap, the deferred-session protocol must
+ * Tests for cross-session batched DNN scoring (api::Engine's
+ * coordinator + server::BatchScorer): per-utterance results must be
+ * bit-identical to per-session inline scoring (an inline
+ * StreamingSession, the reference decoder) for any thread count and
+ * any batch-session cap -- with dither and with the accelerator
+ * search backend too -- the deferred-session protocol must
  * round-trip by hand, and the engine must actually coalesce frames
  * (mean batch > 1 with many concurrent sessions).
  */
@@ -13,16 +15,17 @@
 
 #include <gtest/gtest.h>
 
+#include "api/engine.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "pipeline/model.hh"
 #include "server/batch_scorer.hh"
-#include "server/scheduler.hh"
 #include "server/session.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
 using namespace asr::server;
+using api::EngineOptions;
 
 namespace {
 
@@ -79,13 +82,13 @@ class ServerBatchTest : public ::testing::Test
         return model->synthesizer().synthesize(seq, 3);
     }
 
-    /** Run @p corpus through a scheduler and collect the results. */
+    /** Run @p corpus through an engine and collect the results. */
     static std::vector<pipeline::RecognitionResult>
-    runEngine(const SchedulerConfig &cfg,
+    runEngine(const EngineOptions &cfg,
               const std::vector<frontend::AudioSignal> &corpus,
               EngineSnapshot *snap = nullptr)
     {
-        DecodeScheduler engine(*model, cfg);
+        api::Engine engine(*model, cfg);
         std::vector<std::future<pipeline::RecognitionResult>> futures;
         futures.reserve(corpus.size());
         for (const auto &audio : corpus)
@@ -99,6 +102,42 @@ class ServerBatchTest : public ::testing::Test
             *snap = engine.stats();
         }
         return results;
+    }
+
+    /**
+     * Decode @p corpus through inline-scoring sessions with the
+     * engine's knobs and ids (0..n-1 in submission order): the
+     * reference every engine result must reproduce.
+     */
+    static std::vector<pipeline::RecognitionResult>
+    runReference(const EngineOptions &cfg,
+                 const std::vector<frontend::AudioSignal> &corpus)
+    {
+        std::vector<pipeline::RecognitionResult> results;
+        results.reserve(corpus.size());
+        for (std::size_t u = 0; u < corpus.size(); ++u) {
+            SessionConfig scfg;
+            static_cast<SessionKnobs &>(scfg) = cfg;
+            scfg.id = u;
+            scfg.baseSeed = cfg.baseSeed;
+            StreamingSession session(*model, scfg);
+            session.pushAudio(corpus[u].samples);
+            results.push_back(session.finish());
+        }
+        return results;
+    }
+
+    /** Assert @p got reproduces @p want utterance by utterance. */
+    static void
+    expectIdentical(const std::vector<pipeline::RecognitionResult> &want,
+                    const std::vector<pipeline::RecognitionResult> &got)
+    {
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t u = 0; u < want.size(); ++u) {
+            EXPECT_EQ(want[u].words, got[u].words) << "utterance " << u;
+            EXPECT_EQ(want[u].score, got[u].score) << "utterance " << u;
+            EXPECT_EQ(want[u].sessionId, got[u].sessionId);
+        }
     }
 
     static std::vector<frontend::AudioSignal>
@@ -123,48 +162,29 @@ pipeline::AsrModel *ServerBatchTest::model = nullptr;
 TEST_F(ServerBatchTest, BatchModeMatchesPerSessionExactly)
 {
     const auto audios = corpus(10);
-
-    SchedulerConfig plain;
-    plain.numThreads = 1;
-    plain.baseSeed = 11;
-    const auto ref = runEngine(plain, audios);
-
-    SchedulerConfig batched = plain;
-    batched.batchScoring = true;
-    const auto got = runEngine(batched, audios);
-
-    ASSERT_EQ(ref.size(), got.size());
-    for (std::size_t u = 0; u < ref.size(); ++u) {
-        EXPECT_EQ(ref[u].words, got[u].words) << "utterance " << u;
-        EXPECT_EQ(ref[u].score, got[u].score) << "utterance " << u;
-        EXPECT_EQ(ref[u].sessionId, got[u].sessionId);
-    }
+    EngineOptions cfg;
+    cfg.numThreads = 1;
+    cfg.baseSeed = 11;
+    expectIdentical(runReference(cfg, audios), runEngine(cfg, audios));
 }
 
 TEST_F(ServerBatchTest, ThreadCountDoesNotChangeBatchModeResults)
 {
+    // Dither draws from each session's private RNG, so this also
+    // proves the stream is keyed on (base seed, session id) only.
     const auto audios = corpus(8);
-    std::vector<std::vector<wfst::WordId>> refWords;
-    std::vector<wfst::LogProb> refScores;
-    for (unsigned threads : {1u, 2u, 4u}) {
-        SchedulerConfig cfg;
-        cfg.numThreads = threads;
-        cfg.baseSeed = 3;
-        cfg.batchScoring = true;
-        cfg.ditherAmplitude = 1e-4f;  // exercise per-session RNG too
-        const auto results = runEngine(cfg, audios);
-        if (threads == 1) {
-            for (const auto &r : results) {
-                refWords.push_back(r.words);
-                refScores.push_back(r.score);
-            }
-            continue;
-        }
-        for (std::size_t u = 0; u < results.size(); ++u) {
-            EXPECT_EQ(results[u].words, refWords[u])
-                << threads << " threads, utterance " << u;
-            EXPECT_EQ(results[u].score, refScores[u])
-                << threads << " threads, utterance " << u;
+    EngineOptions cfg;
+    cfg.baseSeed = 3;
+    cfg.ditherAmplitude = 1e-4f;
+    const auto want = runReference(cfg, audios);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        for (const std::size_t slots : {std::size_t(2),
+                                        std::size_t(32)}) {
+            SCOPED_TRACE(testing::Message() << threads << " threads, "
+                                            << slots << " slots");
+            cfg.numThreads = threads;
+            cfg.maxBatchSessions = slots;
+            expectIdentical(want, runEngine(cfg, audios));
         }
     }
 }
@@ -172,27 +192,21 @@ TEST_F(ServerBatchTest, ThreadCountDoesNotChangeBatchModeResults)
 TEST_F(ServerBatchTest, SessionCapDoesNotChangeResults)
 {
     const auto audios = corpus(9);
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 2;
     cfg.baseSeed = 5;
-    cfg.batchScoring = true;
+    const auto want = runReference(cfg, audios);
     cfg.maxBatchSessions = 32;
-    const auto wide = runEngine(cfg, audios);
+    expectIdentical(want, runEngine(cfg, audios));
     cfg.maxBatchSessions = 2;  // forces several admission waves
-    const auto narrow = runEngine(cfg, audios);
-    ASSERT_EQ(wide.size(), narrow.size());
-    for (std::size_t u = 0; u < wide.size(); ++u) {
-        EXPECT_EQ(wide[u].words, narrow[u].words);
-        EXPECT_EQ(wide[u].score, narrow[u].score);
-    }
+    expectIdentical(want, runEngine(cfg, audios));
 }
 
 TEST_F(ServerBatchTest, CoalescesFramesAcrossSessions)
 {
     const auto audios = corpus(8);
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 1;
-    cfg.batchScoring = true;
     EngineSnapshot snap;
     runEngine(cfg, audios, &snap);
     EXPECT_EQ(snap.utterances, 8u);
@@ -216,20 +230,13 @@ TEST_F(ServerBatchTest, ZeroLengthAndTinyAudio)
     audios.push_back(tiny);
     audios.push_back(testAudio(2));           // a normal utterance
 
-    SchedulerConfig plain;
-    plain.numThreads = 1;
-    const auto ref = runEngine(plain, audios);
-
-    SchedulerConfig batched = plain;
-    batched.batchScoring = true;
-    const auto got = runEngine(batched, audios);
+    EngineOptions cfg;
+    cfg.numThreads = 1;
+    const auto got = runEngine(cfg, audios);
 
     ASSERT_EQ(got.size(), 3u);
     EXPECT_TRUE(got[0].words.empty());
-    for (std::size_t u = 0; u < ref.size(); ++u) {
-        EXPECT_EQ(ref[u].words, got[u].words);
-        EXPECT_EQ(ref[u].score, got[u].score);
-    }
+    expectIdentical(runReference(cfg, audios), got);
 }
 
 TEST_F(ServerBatchTest, DeferredProtocolRoundTripsByHand)
@@ -275,17 +282,29 @@ TEST_F(ServerBatchTest, DeferredProtocolRoundTripsByHand)
 
 TEST_F(ServerBatchTest, AcceleratorBackendInBatchMode)
 {
-    // Batch scoring composes with the accelerator search backend.
+    // Batch scoring composes with the accelerator search backend,
+    // cycle simulation included: the timing model sees the same
+    // frames in the same order, so even its cycle count matches.
     const auto audios = corpus(4);
-    SchedulerConfig cfg;
-    cfg.numThreads = 1;
-    cfg.useAccelerator = true;
-    const auto ref = runEngine(cfg, audios);
-    cfg.batchScoring = true;
-    const auto got = runEngine(cfg, audios);
-    for (std::size_t u = 0; u < ref.size(); ++u) {
-        EXPECT_EQ(ref[u].words, got[u].words);
-        EXPECT_EQ(ref[u].score, got[u].score);
-        EXPECT_GT(got[u].accelStats.frames, 0u);
+    EngineOptions cfg;
+    cfg.searchBackend = "accel";
+    cfg.runTiming = true;
+    const auto want = runReference(cfg, audios);
+    for (const unsigned threads : {1u, 3u}) {
+        for (const std::size_t slots : {std::size_t(1),
+                                        std::size_t(32)}) {
+            SCOPED_TRACE(testing::Message() << threads << " threads, "
+                                            << slots << " slots");
+            cfg.numThreads = threads;
+            cfg.maxBatchSessions = slots;
+            const auto got = runEngine(cfg, audios);
+            expectIdentical(want, got);
+            for (std::size_t u = 0; u < got.size(); ++u) {
+                EXPECT_GT(got[u].accelStats.frames, 0u);
+                EXPECT_GT(got[u].accelStats.cycles, 0u);
+                EXPECT_EQ(got[u].accelStats.cycles,
+                          want[u].accelStats.cycles);
+            }
+        }
     }
 }

@@ -15,14 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include "api/engine.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "pipeline/model.hh"
-#include "server/scheduler.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
-using namespace asr::server;
+using api::Engine;
+using api::EngineOptions;
 
 namespace {
 
@@ -94,11 +95,11 @@ audioFor(std::uint64_t seed)
 
 TEST(ServerStress, ManySessionsManyWorkers)
 {
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 8;  // deliberately more than the core count
     cfg.baseSeed = 5;
     cfg.ditherAmplitude = 1e-4f;
-    DecodeScheduler engine(world().model, cfg);
+    Engine engine(world().model, cfg);
 
     constexpr unsigned kJobs = 48;
     std::vector<std::future<pipeline::RecognitionResult>> futures;
@@ -121,9 +122,9 @@ TEST(ServerStress, ManySessionsManyWorkers)
 
 TEST(ServerStress, RepeatedDrainCycles)
 {
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 4;
-    DecodeScheduler engine(world().model, cfg);
+    Engine engine(world().model, cfg);
 
     unsigned total = 0;
     for (unsigned round = 0; round < 5; ++round) {
@@ -141,11 +142,11 @@ TEST(ServerStress, AcceleratorBackendUnderConcurrency)
     // Each session owns a full cycle-level accelerator model; run a
     // few concurrently to stress its (session-private) state under
     // parallel construction/teardown.
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 4;
-    cfg.useAccelerator = true;
+    cfg.searchBackend = "accel";
     cfg.runTiming = true;
-    DecodeScheduler engine(world().model, cfg);
+    Engine engine(world().model, cfg);
 
     std::vector<std::future<pipeline::RecognitionResult>> futures;
     for (unsigned u = 0; u < 8; ++u)
@@ -160,9 +161,9 @@ TEST(ServerStress, DestructorDrainsOutstandingWork)
 {
     std::vector<std::future<pipeline::RecognitionResult>> futures;
     {
-        SchedulerConfig cfg;
+        EngineOptions cfg;
         cfg.numThreads = 3;
-        DecodeScheduler engine(world().model, cfg);
+        Engine engine(world().model, cfg);
         for (unsigned u = 0; u < 6; ++u)
             futures.push_back(engine.submit(audioFor(500 + u)));
         // Destructor must finish the queue before joining.

@@ -18,16 +18,18 @@
 
 #include <gtest/gtest.h>
 
+#include "api/engine.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "pipeline/asr_system.hh"
+#include "decoder/viterbi.hh"
 #include "pipeline/corpus.hh"
-#include "server/scheduler.hh"
 #include "server/session.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
 using namespace asr::server;
+using api::Engine;
+using api::EngineOptions;
 
 namespace {
 
@@ -141,11 +143,11 @@ TEST_F(ServerTest, BackendsAgreeUnderSessionApi)
     const frontend::AudioSignal audio = testAudio(11);
 
     SessionConfig sw;
-    sw.useAccelerator = false;
+    sw.searchBackend = "viterbi";
     const auto r_sw = decodeChunked(*model, sw, audio, 160);
 
     SessionConfig hw;
-    hw.useAccelerator = true;
+    hw.searchBackend = "accel";
     const auto r_hw = decodeChunked(*model, hw, audio, 160);
 
     EXPECT_EQ(r_hw.words, r_sw.words);
@@ -216,7 +218,7 @@ TEST_F(ServerTest, UltraTightBeamPrunesEverythingGracefully)
     const auto r_sw = decodeChunked(*model, sw, audio, 160);
 
     SessionConfig hw = sw;
-    hw.useAccelerator = true;
+    hw.searchBackend = "accel";
     const auto r_hw = decodeChunked(*model, hw, audio, 160);
 
     EXPECT_EQ(r_hw.words, r_sw.words);
@@ -233,7 +235,7 @@ TEST_F(ServerTest, UltraTightBeamPrunesEverythingGracefully)
     SessionConfig tight;
     tight.beam = 2.0f;
     const auto t_sw = decodeChunked(*model, tight, audio, 160);
-    tight.useAccelerator = true;
+    tight.searchBackend = "accel";
     const auto t_hw = decodeChunked(*model, tight, audio, 160);
     EXPECT_GT(t_sw.score, wfst::kLogZero);
     EXPECT_EQ(t_hw.words, t_sw.words);
@@ -284,11 +286,11 @@ TEST_F(ServerTest, ConcurrentBitIdenticalToSequential)
     }
 
     for (const unsigned threads : {1u, 4u}) {
-        SchedulerConfig cfg;
+        EngineOptions cfg;
         cfg.numThreads = threads;
         cfg.baseSeed = 9;
         cfg.ditherAmplitude = 1e-4f;
-        DecodeScheduler engine(*model, cfg);
+        Engine engine(*model, cfg);
 
         std::vector<std::future<pipeline::RecognitionResult>> futures;
         for (unsigned u = 0; u < kUtterances; ++u)
@@ -334,9 +336,9 @@ TEST_F(ServerTest, DitherSeedingIsPerSessionNotShared)
 
 TEST_F(ServerTest, SchedulerDrainAndReuse)
 {
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 2;
-    DecodeScheduler engine(*model, cfg);
+    Engine engine(*model, cfg);
 
     auto f1 = engine.submit(testAudio(31));
     engine.drain();
@@ -407,19 +409,19 @@ TEST_F(ServerTest, EngineStatsSearchSplitAndArenaTelemetry)
 
 TEST_F(ServerTest, ArenaGcWatermarkFlowsThroughSchedulerUnchanged)
 {
-    // A scheduler with the GC watermark enabled must produce results
+    // An engine with the GC watermark enabled must produce results
     // bit-identical to one without, and the arena telemetry must
     // reach the engine snapshot.
     const frontend::AudioSignal audio = testAudio(57);
 
-    SchedulerConfig plain;
+    EngineOptions plain;
     plain.numThreads = 2;
-    DecodeScheduler ref(*model, plain);
+    Engine ref(*model, plain);
     const auto expected = ref.submit(audio).get();
 
-    SchedulerConfig gc = plain;
+    EngineOptions gc = plain;
     gc.arenaGcWatermark = 256;  // tiny: collect constantly
-    DecodeScheduler engine(*model, gc);
+    Engine engine(*model, gc);
     const auto r = engine.submit(audio).get();
     engine.drain();
 

@@ -136,12 +136,8 @@ main(int argc, char **argv)
         return EXIT_FAILURE;
     }
     const std::string host = positional[0];
-    const unsigned long port =
-        std::strtoul(positional[1], nullptr, 10);
-    if (port == 0 || port > 65535) {
-        std::fprintf(stderr, "invalid port '%s'\n", positional[1]);
-        return EXIT_FAILURE;
-    }
+    const std::uint16_t port =
+        parsePortArg(positional[1], /*allow_zero=*/false);
 
     std::vector<frontend::AudioSignal> corpus;
     for (std::size_t i = 2; i < positional.size(); ++i) {
@@ -168,16 +164,17 @@ main(int argc, char **argv)
     if (!quiet)
         std::printf(
             "offering %.2f streams/s (%s) for %.1f s against "
-            "%s:%lu, %zu-utterance corpus\n",
+            "%s:%u, %zu-utterance corpus\n",
             cfg.arrivals.ratePerSec,
             cfg.arrivals.kind == fleet::ArrivalConfig::Kind::Diurnal
                 ? "diurnal"
                 : "poisson",
-            cfg.durationSec, host.c_str(), port, corpus.size());
+            cfg.durationSec, host.c_str(), unsigned(port),
+            corpus.size());
 
     fleet::LoadGen gen(cfg);
     const fleet::LoadMetrics m =
-        gen.runNet(host, std::uint16_t(port), corpus);
+        gen.runNet(host, port, corpus);
 
     std::printf(
         "offered %llu  admitted %llu  completed %llu  "
@@ -207,7 +204,7 @@ main(int argc, char **argv)
     // The server's own view, over the same wire.
     net::Client client;
     net::StatsReply stats;
-    if (client.connect(host, std::uint16_t(port)) &&
+    if (client.connect(host, port) &&
         client.requestStats(stats)) {
         std::printf(
             "server: %llu utterances  latency p99 %.1f ms "

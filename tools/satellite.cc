@@ -98,12 +98,8 @@ main(int argc, char **argv)
         return EXIT_FAILURE;
     }
     const std::string host = positional[0];
-    const unsigned long port =
-        std::strtoul(positional[1], nullptr, 10);
-    if (port == 0 || port > 65535) {
-        std::fprintf(stderr, "invalid port '%s'\n", positional[1]);
-        return EXIT_FAILURE;
-    }
+    const std::uint16_t port =
+        parsePortArg(positional[1], /*allow_zero=*/false);
 
     std::vector<float> samples;
     if (!readAudio(positional.size() > 2 ? positional[2] : nullptr,
@@ -111,16 +107,15 @@ main(int argc, char **argv)
         std::fprintf(stderr, "no audio to stream\n");
         return EXIT_FAILURE;
     }
-    std::printf("streaming %zu samples (%.2f s) to %s:%lu\n",
+    std::printf("streaming %zu samples (%.2f s) to %s:%u\n",
                 samples.size(), double(samples.size()) / 16000.0,
-                host.c_str(), port);
+                host.c_str(), unsigned(port));
 
     net::Client client;
     const unsigned connect_attempts =
         retry_budget ? retry_budget : 10;
     const unsigned open_attempts = retry_budget ? retry_budget : 100;
-    if (!client.connectRetrying(host, std::uint16_t(port),
-                                connect_attempts)) {
+    if (!client.connectRetrying(host, port, connect_attempts)) {
         std::fprintf(stderr, "connect failed: %s\n",
                      client.lastError().c_str());
         return EXIT_FAILURE;
