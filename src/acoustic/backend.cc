@@ -11,8 +11,8 @@
 // The AVX2 kernels are compiled with per-function target attributes
 // (no global -mavx2), so the same binary carries both code paths and
 // cpu::hasAvx2() picks one at backend construction.  Non-x86 builds
-// compile only the scalar paths; the *-avx2 backend names still exist
-// there and simply always run scalar.
+// compile only the scalar paths; "blocked" and the *-avx2 backend
+// names still exist there and simply always run scalar.
 #if (defined(__GNUC__) || defined(__clang__)) && \
     (defined(__x86_64__) || defined(__i386__))
 #define ASR_HAVE_AVX2_KERNELS 1
@@ -235,7 +235,7 @@ gemmPanel(const float *ASR_RESTRICT xd, std::size_t in,
     }
 }
 
-/** Signature shared by gemmPanel and its AVX2 twin. */
+/** Signature shared by gemmPanel and the row-blocked AVX2 kernels. */
 using PanelKernel = void (*)(const float *ASR_RESTRICT, std::size_t,
                              const float *ASR_RESTRICT,
                              const float *ASR_RESTRICT, std::size_t,
@@ -245,70 +245,136 @@ using PanelKernel = void (*)(const float *ASR_RESTRICT, std::size_t,
 #if ASR_HAVE_AVX2_KERNELS
 
 /**
- * gemmPanel with explicit AVX2+FMA: one broadcast load of x[k] FMAed
- * into four 8-lane accumulators covering the kTile panel.  Same
- * ascending-k single-accumulator-per-lane order as the scalar kernel,
- * but fused multiply-adds round once per step, so results differ from
- * the bit-identity contract by at most the FMA rounding delta (the
- * error-bound tests quantify this).
+ * Input rows one register-blocked AVX2 pass scores: 3 rows x 4
+ * eight-lane accumulators, plus the broadcast x[k] and the loaded
+ * weight slices, fill the 16 ymm registers without spilling (4 rows
+ * spill accumulators to the stack and measured no faster).
  */
-__attribute__((target("avx2,fma"))) void
-gemmPanelAvx2(const float *ASR_RESTRICT xd, std::size_t in,
-              const float *ASR_RESTRICT panel,
-              const float *ASR_RESTRICT bias, std::size_t j0,
-              std::size_t jn, float *ASR_RESTRICT yd, std::size_t out,
-              std::size_t r0, std::size_t r1)
+constexpr std::size_t kRegRows = 3;
+
+/**
+ * acc[r][t] = sum_k x[r][k] * panel[k][t] for Rows input rows spaced
+ * @p in floats apart, over one packed kTile panel.  Each 8-lane slice
+ * of panel row k is loaded once and reused for every row; every lane
+ * keeps one f32 accumulator over ascending k with a rounded multiply
+ * and a separate rounded add, which is exactly gemmPanel's (and the
+ * reference's) arithmetic.
+ *
+ * Compiled for "avx2" alone, never "avx2,fma": with FMA in the target
+ * GCC contracts _mm256_add_ps(a, _mm256_mul_ps(x, w)) into one
+ * vfmadd231ps, which drops the product's rounding and with it the
+ * bit-identity contract.  The bitwise backend tests on an AVX2 host
+ * are the guard.
+ */
+template <std::size_t Rows>
+__attribute__((target("avx2"))) void
+dotRowsAvx2(const float *ASR_RESTRICT x, std::size_t in,
+            const float *ASR_RESTRICT panel, float *ASR_RESTRICT acc)
 {
     static_assert(kTile == 32, "kernel hard-codes four 8-lane vectors");
-    for (std::size_t r = r0; r < r1; ++r) {
-        const float *ASR_RESTRICT xrow = xd + r * in;
-        __m256 acc0 = _mm256_setzero_ps();
-        __m256 acc1 = _mm256_setzero_ps();
-        __m256 acc2 = _mm256_setzero_ps();
-        __m256 acc3 = _mm256_setzero_ps();
-        for (std::size_t k = 0; k < in; ++k) {
-            const __m256 xv = _mm256_set1_ps(xrow[k]);
-            const float *ASR_RESTRICT p = panel + k * kTile;
-            acc0 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(p), acc0);
-            acc1 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(p + 8), acc1);
-            acc2 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(p + 16), acc2);
-            acc3 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(p + 24), acc3);
+    __m256 sum[Rows][4] = {};
+    for (std::size_t k = 0; k < in; ++k) {
+        const float *ASR_RESTRICT p = panel + k * kTile;
+        const __m256 w[4] = {_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8),
+                             _mm256_loadu_ps(p + 16),
+                             _mm256_loadu_ps(p + 24)};
+        for (std::size_t r = 0; r < Rows; ++r) {
+            const __m256 xv = _mm256_set1_ps(x[r * in + k]);
+            for (std::size_t v = 0; v < 4; ++v)
+                sum[r][v] =
+                    _mm256_add_ps(sum[r][v], _mm256_mul_ps(xv, w[v]));
         }
-        float *ASR_RESTRICT yrow = yd + r * out;
-        if (jn == kTile) {
-            _mm256_storeu_ps(
-                yrow + j0,
-                _mm256_add_ps(acc0, _mm256_loadu_ps(bias + j0)));
-            _mm256_storeu_ps(
-                yrow + j0 + 8,
-                _mm256_add_ps(acc1, _mm256_loadu_ps(bias + j0 + 8)));
-            _mm256_storeu_ps(
-                yrow + j0 + 16,
-                _mm256_add_ps(acc2, _mm256_loadu_ps(bias + j0 + 16)));
-            _mm256_storeu_ps(
-                yrow + j0 + 24,
-                _mm256_add_ps(acc3, _mm256_loadu_ps(bias + j0 + 24)));
-        } else {
-            alignas(32) float acc[kTile];
-            _mm256_store_ps(acc, acc0);
-            _mm256_store_ps(acc + 8, acc1);
-            _mm256_store_ps(acc + 16, acc2);
-            _mm256_store_ps(acc + 24, acc3);
+    }
+    for (std::size_t r = 0; r < Rows; ++r)
+        for (std::size_t v = 0; v < 4; ++v)
+            _mm256_storeu_ps(acc + r * kTile + 8 * v, sum[r][v]);
+}
+
+/**
+ * dotRowsAvx2 with one fused multiply-add per step (blocked-avx2):
+ * same loads, order and accumulators, but each step rounds once, so
+ * the sums differ from the bit-identity contract by the FMA rounding
+ * delta.  A separate function because the target attribute is per
+ * function and the exact kernel must not carry "fma".
+ */
+template <std::size_t Rows>
+__attribute__((target("avx2,fma"))) void
+dotRowsFma(const float *ASR_RESTRICT x, std::size_t in,
+           const float *ASR_RESTRICT panel, float *ASR_RESTRICT acc)
+{
+    static_assert(kTile == 32, "kernel hard-codes four 8-lane vectors");
+    __m256 sum[Rows][4] = {};
+    for (std::size_t k = 0; k < in; ++k) {
+        const float *ASR_RESTRICT p = panel + k * kTile;
+        const __m256 w[4] = {_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8),
+                             _mm256_loadu_ps(p + 16),
+                             _mm256_loadu_ps(p + 24)};
+        for (std::size_t r = 0; r < Rows; ++r) {
+            const __m256 xv = _mm256_set1_ps(x[r * in + k]);
+            for (std::size_t v = 0; v < 4; ++v)
+                sum[r][v] = _mm256_fmadd_ps(xv, w[v], sum[r][v]);
+        }
+    }
+    for (std::size_t r = 0; r < Rows; ++r)
+        for (std::size_t v = 0; v < 4; ++v)
+            _mm256_storeu_ps(acc + r * kTile + 8 * v, sum[r][v]);
+}
+
+/** Signature of dotRowsAvx2 / dotRowsFma instances. */
+using DotKernel = void (*)(const float *ASR_RESTRICT, std::size_t,
+                           const float *ASR_RESTRICT,
+                           float *ASR_RESTRICT);
+
+/**
+ * gemmPanel's contract over a row-blocked dot kernel: rows [r0, r1)
+ * go kRegRows at a time through DotRows, the leftover rows (and
+ * scoreFrame's single row) one at a time through DotRow, and the bias
+ * is added after each full sum.  Every row's outputs depend only on
+ * that row, so a frame scores the same in any batch.
+ */
+template <DotKernel DotRows, DotKernel DotRow>
+void
+panelRows(const float *ASR_RESTRICT xd, std::size_t in,
+          const float *ASR_RESTRICT panel, const float *ASR_RESTRICT bias,
+          std::size_t j0, std::size_t jn, float *ASR_RESTRICT yd,
+          std::size_t out, std::size_t r0, std::size_t r1)
+{
+    float acc[kRegRows * kTile] = {};
+    const auto store = [&](std::size_t r, std::size_t rows) {
+        for (std::size_t i = 0; i < rows; ++i) {
+            float *ASR_RESTRICT yrow = yd + (r + i) * out;
             for (std::size_t t = 0; t < jn; ++t)
-                yrow[j0 + t] = acc[t] + bias[j0 + t];
+                yrow[j0 + t] = acc[i * kTile + t] + bias[j0 + t];
         }
+    };
+    std::size_t r = r0;
+    for (; r + kRegRows <= r1; r += kRegRows) {
+        DotRows(xd + r * in, in, panel, acc);
+        store(r, kRegRows);
+    }
+    for (; r < r1; ++r) {
+        DotRow(xd + r * in, in, panel, acc);
+        store(r, 1);
     }
 }
 
 #endif // ASR_HAVE_AVX2_KERNELS
 
-/** The panel kernel cpu::hasAvx2() resolves to right now. */
+/**
+ * The panel kernel cpu::hasAvx2() resolves to right now: the
+ * row-blocked AVX2 loop with the exact step (@p fused false) or the
+ * FMA step, else the scalar gemmPanel.
+ */
 PanelKernel
-pickPanelKernel()
+pickPanelKernel(bool fused)
 {
 #if ASR_HAVE_AVX2_KERNELS
     if (cpu::hasAvx2())
-        return &gemmPanelAvx2;
+        return fused ? &panelRows<&dotRowsFma<kRegRows>, &dotRowsFma<1>>
+                     : &panelRows<&dotRowsAvx2<kRegRows>,
+                                  &dotRowsAvx2<1>>;
+#else
+    (void)fused;
 #endif
     return &gemmPanel;
 }
@@ -342,6 +408,12 @@ gemmPacked(const Matrix &x, const PackedLayer &layer, Matrix &y,
 class PackedFloatBackend : public Backend
 {
   public:
+    std::string_view
+    isa() const override
+    {
+        return simd() ? "avx2" : "scalar";
+    }
+
     Matrix
     scoreBatch(const Matrix &input) const override
     {
@@ -423,6 +495,9 @@ class PackedFloatBackend : public Backend
                                        dnn.layerBias(l)));
     }
 
+    /** True when construction resolved an AVX2 kernel. */
+    bool simd() const { return kernel != &gemmPanel; }
+
   private:
     std::vector<PackedLayer> layers;
     PanelKernel kernel;
@@ -430,12 +505,16 @@ class PackedFloatBackend : public Backend
     std::uint64_t weightBytes;
 };
 
-/** The default float backend: scalar kernel, bit-identical. */
+/**
+ * The default float backend: the row-blocked AVX2 kernel with the
+ * exact step when cpu::hasAvx2(), else scalar gemmPanel.  Bit-identical
+ * to reference either way.
+ */
 class BlockedBackend final : public PackedFloatBackend
 {
   public:
     explicit BlockedBackend(const Dnn &dnn)
-        : PackedFloatBackend(dnn, &gemmPanel)
+        : PackedFloatBackend(dnn, pickPanelKernel(/*fused=*/false))
     {
     }
 
@@ -444,15 +523,16 @@ class BlockedBackend final : public PackedFloatBackend
 };
 
 /**
- * AVX2+FMA float backend.  Bit-identical to reference only when it
- * had to fall back to the scalar kernel; with SIMD active, FMA's
- * single rounding per step voids the contract (error-bound tested).
+ * AVX2+FMA float backend: blocked's row-blocked loop with the fused
+ * step.  Bit-identical to reference only when it had to fall back to
+ * the scalar kernel; with SIMD active, FMA's single rounding per step
+ * voids the contract (error-bound tested).
  */
 class BlockedAvx2Backend final : public PackedFloatBackend
 {
   public:
     explicit BlockedAvx2Backend(const Dnn &dnn)
-        : BlockedAvx2Backend(dnn, pickPanelKernel())
+        : PackedFloatBackend(dnn, pickPanelKernel(/*fused=*/true))
     {
     }
 
@@ -461,21 +541,7 @@ class BlockedAvx2Backend final : public PackedFloatBackend
     {
         return BackendKind::BlockedAvx2;
     }
-    bool bitIdenticalToReference() const override { return !simd; }
-    std::string_view
-    isa() const override
-    {
-        return simd ? "avx2" : "scalar";
-    }
-
-  private:
-    BlockedAvx2Backend(const Dnn &dnn, PanelKernel kernel_fn)
-        : PackedFloatBackend(dnn, kernel_fn),
-          simd(kernel_fn != &gemmPanel)
-    {
-    }
-
-    bool simd;
+    bool bitIdenticalToReference() const override { return !simd(); }
 };
 
 // ---------------------------------------------------------------------------

@@ -18,16 +18,19 @@
  *    against.
  *  - Blocked:     the same arithmetic over weights repacked at
  *    construction into SIMD-friendly column tiles, row-blocked for
- *    cache reuse.  Bit-identical to Reference (see below) and the
+ *    cache reuse.  On an AVX2 host (common/cpuinfo.hh) a register-
+ *    blocked kernel loads each 8-lane weight slice once per k and
+ *    reuses it across three input rows, with a separate multiply and
+ *    add per step; elsewhere a compiler-vectorized scalar loop.
+ *    Bit-identical to Reference on both paths (see below) and the
  *    default in pipeline::AsrModel.
- *  - BlockedAvx2: the Blocked layout driven by an explicit AVX2+FMA
- *    kernel (8-lane broadcast-FMA over the 32-wide k-major tiles).
- *    FMA fuses each multiply-add into one rounding, so this backend
- *    is NOT bitwise against Reference; it is validated by the
- *    error-bound harness instead (same ascending-k order, so the
- *    error is the FMA rounding delta only).  Falls back to the
+ *  - BlockedAvx2: Blocked's row-blocked AVX2 loop with a fused
+ *    multiply-add per step.  FMA rounds each multiply-add once, so
+ *    this backend is NOT bitwise against Reference; it is validated
+ *    by the error-bound harness instead (same ascending-k order, so
+ *    the error is the FMA rounding delta only).  Falls back to the
  *    scalar Blocked kernel -- and full bit-identity -- when the host
- *    lacks AVX2/FMA (common/cpuinfo.hh).
+ *    lacks AVX2/FMA.
  *  - Int8:        per-output-channel symmetric weight quantization
  *    with dynamic per-frame activation quantization; 4x smaller
  *    weight traffic (the gpu:: analytical models read the byte
@@ -77,7 +80,7 @@ namespace asr::acoustic {
 enum class BackendKind
 {
     Reference,    //!< naive float GEMM (the training-time path)
-    Blocked,      //!< packed-tile, cache-blocked float GEMM
+    Blocked,      //!< packed-tile float GEMM, exact AVX2 or scalar kernel
     BlockedAvx2,  //!< Blocked layout, AVX2+FMA kernel (scalar fallback)
     Int8,         //!< int8 weight-quantized GEMM
     Int8Avx2,     //!< Int8 scheme, AVX2 maddubs kernel (scalar fallback)

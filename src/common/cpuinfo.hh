@@ -2,13 +2,14 @@
  * @file
  * Runtime CPU-feature detection for the SIMD kernel dispatch.
  *
- * The explicitly vectorized acoustic kernels ("blocked-avx2",
- * "int8-avx2" in acoustic/backend.hh) are compiled with per-function
- * target attributes, so the binary always contains both the SIMD and
- * the scalar code paths; which one runs is decided here, once, at
- * backend construction.  A build on a non-x86 host (or a run on an
- * x86 core without AVX2/FMA) silently degrades to the scalar kernels
- * -- same results within the documented bounds, just slower.
+ * The explicitly vectorized acoustic kernels ("blocked",
+ * "blocked-avx2", "int8-avx2" in acoustic/backend.hh) are compiled
+ * with per-function target attributes, so the binary always contains
+ * both the SIMD and the scalar code paths; which one runs is decided
+ * here, once, at backend construction.  A build on a non-x86 host (or
+ * a run on an x86 core without AVX2/FMA) silently degrades to the
+ * scalar kernels -- same results within the documented bounds, just
+ * slower.
  *
  * Two override knobs exist so the fallback path stays testable on
  * hosts that *do* have AVX2:

@@ -143,24 +143,31 @@ TEST_P(AccelConfigMatrix, DecodesLikeReferenceWithSaneTiming)
                        stats.stateCache.misses));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, AccelConfigMatrix,
-    ::testing::Values(
-        MatrixCase{false, false, false, 1, 64, 0},
-        MatrixCase{false, false, false, 8, 64, 0},
-        MatrixCase{true, false, false, 1, 64, 0},
-        MatrixCase{true, false, false, 8, 16, 0},
-        MatrixCase{false, true, false, 1, 64, 0},
-        MatrixCase{false, true, false, 8, 64, 0},
-        MatrixCase{true, true, false, 1, 64, 0},
-        MatrixCase{true, true, false, 8, 64, 0},
-        MatrixCase{false, false, true, 4, 64, 0},
-        MatrixCase{true, true, true, 4, 64, 0},
-        MatrixCase{true, true, false, 2, 128, 0},
-        MatrixCase{false, false, false, 2, 64, 800},
-        MatrixCase{true, false, false, 2, 64, 800},
-        MatrixCase{false, true, false, 2, 64, 800},
-        MatrixCase{true, true, true, 2, 64, 800}));
+/**
+ * gtest names each case after the printed bytes of its MatrixCase,
+ * padding included.  A constant-initialized table has zero padding,
+ * so the test names do not depend on stack garbage at start-up.
+ */
+constexpr MatrixCase kMatrixCases[] = {
+    {false, false, false, 1, 64, 0},
+    {false, false, false, 8, 64, 0},
+    {true, false, false, 1, 64, 0},
+    {true, false, false, 8, 16, 0},
+    {false, true, false, 1, 64, 0},
+    {false, true, false, 8, 64, 0},
+    {true, true, false, 1, 64, 0},
+    {true, true, false, 8, 64, 0},
+    {false, false, true, 4, 64, 0},
+    {true, true, true, 4, 64, 0},
+    {true, true, false, 2, 128, 0},
+    {false, false, false, 2, 64, 800},
+    {true, false, false, 2, 64, 800},
+    {false, true, false, 2, 64, 800},
+    {true, true, true, 2, 64, 800},
+};
+
+INSTANTIATE_TEST_SUITE_P(Grid, AccelConfigMatrix,
+                         ::testing::ValuesIn(kMatrixCases));
 
 namespace {
 

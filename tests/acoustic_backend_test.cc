@@ -7,11 +7,13 @@
  * backend, and the int8 backend must stay within bounded score error
  * of the float paths.
  *
- * The AVX2 variants have their own contracts: int8-avx2 must be
- * bit-identical to scalar int8 (integer addition is associative);
+ * The dispatch has its own contracts: blocked is bit-identical to
+ * the reference on its AVX2 and scalar kernels alike; int8-avx2 must
+ * be bit-identical to scalar int8 (integer addition is associative);
  * blocked-avx2 trades bitwise identity for an FMA error bound when
- * SIMD is active, and must degrade to the bit-identical scalar
- * kernel when AVX2 is unavailable (exercised via the test override).
+ * SIMD is active -- and then equals a std::fma forward pass exactly
+ * -- and must degrade to the bit-identical scalar kernel when AVX2 is
+ * unavailable (exercised via the test override).
  */
 
 #include <cmath>
@@ -84,7 +86,8 @@ TEST(BackendEquivalence, BlockedMatchesReferenceBitExact)
 {
     // Shapes chosen to exercise the packed layout's tails: output
     // dims below one tile, exactly one tile, and off-tile remainders;
-    // odd input dims; one and two hidden layers.
+    // odd input dims; one and two hidden layers; one wide layer whose
+    // panels overflow L1, as in the serving models.
     struct Shape
     {
         std::size_t in;
@@ -97,13 +100,20 @@ TEST(BackendEquivalence, BlockedMatchesReferenceBitExact)
         {33, {17, 9}, 13}, // off-tile everywhere, two hidden layers
         {65, {96, 96}, 24},// the demo model's shape
         {13, {}, 5},       // no hidden layer at all
+        {1031, {257}, 13}, // wide input, off-tile hidden width
     };
+    // The AVX2 kernel scores three rows per register-blocked pass and
+    // the rest one at a time, inside 32-row blocks: these batches
+    // leave every remainder of three both within one block (3, 4, 5,
+    // 7, 31, 32) and across two (33, 59, 64).
+    const std::size_t batches[] = {1,  2,  3,  4,  5,  7,
+                                   17, 31, 32, 33, 59, 64};
     std::uint64_t seed = 1;
     for (const Shape &s : shapes) {
         const Dnn net = makeNet(s.in, s.hidden, s.out, 1000 + seed);
         const auto ref = Backend::create(BackendKind::Reference, net);
         const auto blk = Backend::create(BackendKind::Blocked, net);
-        for (std::size_t batch : {1u, 2u, 3u, 17u, 64u}) {
+        for (const std::size_t batch : batches) {
             const Matrix input = randomInput(batch, s.in, seed++);
             expectBitIdentical(ref->scoreBatch(input),
                                blk->scoreBatch(input));
@@ -240,20 +250,50 @@ struct ScalarOverrideGuard
     ~ScalarOverrideGuard() { cpu::clearForceScalarForTest(); }
 };
 
+/**
+ * What blocked-avx2 computes when its SIMD kernel runs: every output
+ * one std::fma accumulator over ascending k, then bias, ReLU between
+ * layers and logSoftmaxRow, as the reference does.
+ */
+Matrix
+fmaForward(const Dnn &net, const Matrix &input)
+{
+    Matrix x = input;
+    for (std::size_t l = 0; l < net.numLayers(); ++l) {
+        const Matrix &w = net.layerWeights(l);
+        Matrix y(x.rows(), w.rows());
+        for (std::size_t r = 0; r < x.rows(); ++r)
+            for (std::size_t j = 0; j < w.rows(); ++j) {
+                float acc = 0.0f;
+                for (std::size_t k = 0; k < w.cols(); ++k)
+                    acc = std::fma(x.at(r, k), w.at(j, k), acc);
+                y.at(r, j) = acc;
+            }
+        addRowBias(y, net.layerBias(l));
+        if (l + 1 < net.numLayers())
+            reluInPlace(y);
+        x = std::move(y);
+    }
+    logSoftmaxRows(x);
+    return x;
+}
+
 } // namespace
 
 TEST(BackendSimd, BlockedAvx2WithinErrorBoundOfReference)
 {
-    // FMA contraction and lane-parallel accumulation reorder the
-    // float sums, so blocked-avx2 promises a bound, not identity --
-    // on the post-log-softmax scores a handful of ULPs.  When the
-    // host lacks AVX2 the backend reports bitIdenticalToReference()
-    // and must then match exactly.
+    // FMA skips the product's rounding, so blocked-avx2 promises a
+    // bound against the reference, not identity -- on the
+    // post-log-softmax scores a handful of ULPs.  With SIMD active it
+    // must equal the std::fma forward pass exactly (same ascending-k
+    // order, one fused step per MAC, in any batch); when the host
+    // lacks AVX2 the backend reports bitIdenticalToReference() and
+    // must then match the reference exactly.
     const Dnn net = makeNet(65, {96, 96}, 24, 4242);
     const auto ref = Backend::create(BackendKind::Reference, net);
     const auto avx = Backend::create(BackendKind::BlockedAvx2, net);
     std::uint64_t seed = 900;
-    for (std::size_t batch : {1u, 3u, 17u, 64u}) {
+    for (std::size_t batch : {1u, 3u, 5u, 17u, 33u, 64u}) {
         const Matrix input = randomInput(batch, 65, seed++);
         const Matrix a = ref->scoreBatch(input);
         const Matrix b = avx->scoreBatch(input);
@@ -263,6 +303,7 @@ TEST(BackendSimd, BlockedAvx2WithinErrorBoundOfReference)
             expectBitIdentical(a, b);
             continue;
         }
+        expectBitIdentical(fmaForward(net, input), b);
         for (std::size_t r = 0; r < a.rows(); ++r)
             for (std::size_t c = 0; c < a.cols(); ++c)
                 ASSERT_NEAR(a.at(r, c), b.at(r, c), 1e-4f)
@@ -301,6 +342,8 @@ TEST(BackendSimd, BlockedAvx2HandlesTileTails)
             for (std::size_t r = 0; r < a.rows(); ++r)
                 for (std::size_t c = 0; c < a.cols(); ++c)
                     ASSERT_NEAR(a.at(r, c), b.at(r, c), 1e-4f);
+            if (!avx->bitIdenticalToReference())
+                expectBitIdentical(fmaForward(net, input), b);
         }
     }
 }
@@ -339,22 +382,27 @@ TEST(BackendSimd, Int8Avx2BitwiseMatchesScalarInt8)
 
 TEST(BackendSimd, ForcedScalarFallbackIsBitIdentical)
 {
-    // With the override asserting "no AVX2", both SIMD backends must
-    // construct on the scalar kernels: blocked-avx2 regains bitwise
-    // identity with the reference and int8-avx2 still equals scalar
-    // int8.  The override is read at construction, so the guard
-    // wraps backend creation.
+    // With the override asserting "no AVX2", blocked and both SIMD
+    // backends must construct on the scalar kernels: blocked stays
+    // bitwise equal to the reference, blocked-avx2 regains that
+    // identity and int8-avx2 still equals scalar int8.  The override
+    // is read at construction, so the guard wraps backend creation.
     const ScalarOverrideGuard guard(true);
     ASSERT_FALSE(cpu::hasAvx2());
     const Dnn net = makeNet(33, {17, 9}, 13, 808);
     const auto ref = Backend::create(BackendKind::Reference, net);
+    const auto blk = Backend::create(BackendKind::Blocked, net);
     const auto avx = Backend::create(BackendKind::BlockedAvx2, net);
     const auto int8 = Backend::create(BackendKind::Int8, net);
     const auto qavx = Backend::create(BackendKind::Int8Avx2, net);
+    EXPECT_EQ(blk->isa(), "scalar");
     EXPECT_EQ(avx->isa(), "scalar");
     EXPECT_EQ(qavx->isa(), "scalar");
+    EXPECT_TRUE(blk->bitIdenticalToReference());
     EXPECT_TRUE(avx->bitIdenticalToReference());
     const Matrix input = randomInput(19, 33, 606);
+    expectBitIdentical(ref->scoreBatch(input),
+                       blk->scoreBatch(input));
     expectBitIdentical(ref->scoreBatch(input),
                        avx->scoreBatch(input));
     expectBitIdentical(int8->scoreBatch(input),
@@ -365,13 +413,17 @@ TEST(BackendSimd, IsaReportsDispatchDecision)
 {
     const Dnn net = makeNet(12, {8}, 6, 99);
     const auto ref = Backend::create(BackendKind::Reference, net);
+    const auto blk = Backend::create(BackendKind::Blocked, net);
     const auto avx = Backend::create(BackendKind::BlockedAvx2, net);
     const auto qavx = Backend::create(BackendKind::Int8Avx2, net);
     EXPECT_EQ(ref->isa(), "scalar");
     const std::string_view expect =
         cpu::hasAvx2() ? "avx2" : "scalar";
+    EXPECT_EQ(blk->isa(), expect);
     EXPECT_EQ(avx->isa(), expect);
     EXPECT_EQ(qavx->isa(), expect);
+    // blocked keeps the bit-identity contract on either kernel.
+    EXPECT_TRUE(blk->bitIdenticalToReference());
     // The dispatch predicate and the human-readable level agree.
     EXPECT_EQ(cpu::simdLevel(),
               cpu::hasAvx2() ? "avx2+fma" : "scalar");

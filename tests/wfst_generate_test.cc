@@ -178,10 +178,18 @@ TEST_P(GeneratorSweep, ShapeInvariants)
     EXPECT_NEAR(epsilonArcFraction(w), 0.115, 0.05);
 }
 
+/**
+ * gtest names each case after the printed bytes of its GenCase,
+ * padding included; constant initialization keeps that padding zero.
+ */
+constexpr GenCase kGenCases[] = {
+    {100, 1},
+    {1000, 2},
+    {1000, 3},
+    {10000, 4},
+    {10000, 5},
+    {100000, 6},
+};
+
 INSTANTIATE_TEST_SUITE_P(Scales, GeneratorSweep,
-                         ::testing::Values(GenCase{100, 1},
-                                           GenCase{1000, 2},
-                                           GenCase{1000, 3},
-                                           GenCase{10000, 4},
-                                           GenCase{10000, 5},
-                                           GenCase{100000, 6}));
+                         ::testing::ValuesIn(kGenCases));
