@@ -620,27 +620,10 @@ Engine::segmentSinkFor(const std::shared_ptr<LiveStream> &ls)
     return [this, ls](const pipeline::RecognitionResult &result,
                       const server::SegmentBoundary &boundary) {
         stats_.recordSegment();
-        recordResult(result, 0.0);
+        stats_.recordUtterance(result, 0.0);
         if (ls->options.onSegment)
             ls->options.onSegment(result, boundary);
     };
-}
-
-void
-Engine::recordResult(const pipeline::RecognitionResult &result,
-                     double latency_seconds)
-{
-    stats_.recordUtterance(server::UtteranceSample{
-        result.audioSeconds,
-        result.frontendSeconds + result.acousticSeconds +
-            result.searchSeconds,
-        latency_seconds, result.searchSeconds,
-        result.acousticSeconds,
-        result.searchStats.arenaPeakEntries,
-        result.searchStats.arenaGcRuns,
-        result.searchStats.bpAppendsSkipped,
-        result.searchStats.framesDecoded,
-        result.searchStats.graphBytesTouched});
 }
 
 void
@@ -681,7 +664,7 @@ Engine::finishLive(LiveStream &ls,
         ls.lifecycle = StreamState::Done;
     }
     if (record_stats)
-        recordResult(result, secondsSince(ls.closedAt));
+        stats_.recordUtterance(result, secondsSince(ls.closedAt));
     noteStreamTerminal(ls.handle);
     ls.promise.set_value(std::move(result));
     {
@@ -798,7 +781,8 @@ Engine::coordinatorLoop()
             if (as.job.live) {
                 finishLive(*as.job.live, std::move(result));
             } else {
-                recordResult(result, secondsSince(as.job.submitted));
+                stats_.recordUtterance(result,
+                                       secondsSince(as.job.submitted));
                 as.job.promise.set_value(std::move(result));
                 {
                     std::lock_guard<std::mutex> lock(mu);

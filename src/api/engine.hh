@@ -291,8 +291,6 @@ class Engine : public StreamEndpoint
      *  records stats and forwards to StreamOptions::onSegment. */
     server::SegmentedSession::SegmentCallback
     segmentSinkFor(const std::shared_ptr<LiveStream> &ls);
-    void recordResult(const pipeline::RecognitionResult &result,
-                      double latency_seconds);
 
     /**
      * Refresh @p ls.lastPartial with @p partial; on change, fire the

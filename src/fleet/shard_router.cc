@@ -335,55 +335,8 @@ server::EngineSnapshot
 ShardRouter::stats() const
 {
     server::EngineSnapshot agg;
-    for (const auto &e : engines) {
-        const server::EngineSnapshot s = e->stats();
-        agg.utterances += s.utterances;
-        agg.audioSeconds += s.audioSeconds;
-        agg.decodeSeconds += s.decodeSeconds;
-        agg.wallSeconds = std::max(agg.wallSeconds, s.wallSeconds);
-        agg.searchSeconds += s.searchSeconds;
-        agg.dnnSeconds += s.dnnSeconds;
-        agg.arenaPeakEntries =
-            std::max(agg.arenaPeakEntries, s.arenaPeakEntries);
-        agg.arenaGcRuns += s.arenaGcRuns;
-        agg.bpAppendsSkipped += s.bpAppendsSkipped;
-        agg.framesDecoded += s.framesDecoded;
-        agg.graphBytesTouched += s.graphBytesTouched;
-        agg.firstPartials += s.firstPartials;
-        agg.segments += s.segments;
-        agg.gateOpens += s.gateOpens;
-        agg.degradedStreams += s.degradedStreams;
-        agg.deadlinesExpired += s.deadlinesExpired;
-        agg.dnnBatches += s.dnnBatches;
-        agg.dnnBatchedFrames += s.dnnBatchedFrames;
-        agg.dnnBatchSeconds += s.dnnBatchSeconds;
-        agg.dnnMaxBatchRows =
-            std::max(agg.dnnMaxBatchRows, s.dnnMaxBatchRows);
-        // Percentiles: the worst shard's value -- a conservative
-        // upper bound on the fleet percentile (any shard's pXX is <=
-        // its own max; the fleet pXX cannot exceed the worst shard's
-        // pXX at the same fraction only when loads are equal, so
-        // "worst shard" is the honest ops headline, not a merge).
-        agg.rtfP50 = std::max(agg.rtfP50, s.rtfP50);
-        agg.rtfP99 = std::max(agg.rtfP99, s.rtfP99);
-        agg.rtfP999 = std::max(agg.rtfP999, s.rtfP999);
-        agg.latencyP50Ms = std::max(agg.latencyP50Ms, s.latencyP50Ms);
-        agg.latencyP99Ms = std::max(agg.latencyP99Ms, s.latencyP99Ms);
-        agg.latencyP999Ms =
-            std::max(agg.latencyP999Ms, s.latencyP999Ms);
-        agg.latencyMaxMs = std::max(agg.latencyMaxMs, s.latencyMaxMs);
-        agg.firstPartialP50Ms =
-            std::max(agg.firstPartialP50Ms, s.firstPartialP50Ms);
-        agg.firstPartialP99Ms =
-            std::max(agg.firstPartialP99Ms, s.firstPartialP99Ms);
-        agg.firstPartialP999Ms =
-            std::max(agg.firstPartialP999Ms, s.firstPartialP999Ms);
-        agg.firstPartialMaxMs =
-            std::max(agg.firstPartialMaxMs, s.firstPartialMaxMs);
-    }
-    agg.rtfMean = agg.audioSeconds > 0.0
-                      ? agg.decodeSeconds / agg.audioSeconds
-                      : 0.0;
+    for (const auto &e : engines)
+        server::merge(agg, e->stats());
     return agg;
 }
 

@@ -156,11 +156,14 @@ class ShardRouter : public api::StreamEndpoint
     void drain() override;
 
     /**
-     * Fleet-aggregate snapshot: additive fields summed across shards,
-     * maxima maxed, rates recomputed from the sums.  Percentile
-     * fields are the worst shard's (a conservative upper bound --
-     * merging histograms across shards is not worth the plumbing for
-     * an ops signal; per-shard tails are exact via shardStats()).
+     * Fleet-aggregate snapshot: the shards' snapshots folded together
+     * by server::merge.  Counts and seconds are summed; wall-clock,
+     * peaks and every distribution summary (the RTF mean, the
+     * percentiles, the maxima) are the worst shard's -- a
+     * conservative upper bound, since merging histograms across
+     * shards is not worth the plumbing for an ops signal.  Per-shard
+     * values are exact via shardStats(); a one-shard router reports
+     * exactly its engine's snapshot.
      */
     server::EngineSnapshot stats() const override;
 

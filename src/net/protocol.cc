@@ -359,23 +359,46 @@ decodeDeadlineExceeded(std::span<const std::uint8_t> payload,
     return getU32(payload, off, deadline_ms) && off == payload.size();
 }
 
+namespace {
+
+// Every EngineSnapshot member is a u64 or an f64; a member of any
+// other type has no overload here and fails to compile.
+void
+putStat(std::vector<std::uint8_t> &out, std::uint64_t v)
+{
+    putU64(out, v);
+}
+
+void
+putStat(std::vector<std::uint8_t> &out, double v)
+{
+    putF64(out, v);
+}
+
+bool
+getStat(std::span<const std::uint8_t> in, std::size_t &off,
+        std::uint64_t &v)
+{
+    return getU64(in, off, v);
+}
+
+bool
+getStat(std::span<const std::uint8_t> in, std::size_t &off, double &v)
+{
+    return getF64(in, off, v);
+}
+
+} // namespace
+
 void
 encodeStatsReply(std::vector<std::uint8_t> &out, const StatsReply &r)
 {
-    putU64(out, r.utterances);
-    putF64(out, r.audioSeconds);
-    putF64(out, r.wallSeconds);
-    putF64(out, r.latencyP50Ms);
-    putF64(out, r.latencyP99Ms);
-    putF64(out, r.latencyP999Ms);
-    putF64(out, r.firstPartialP50Ms);
-    putF64(out, r.firstPartialP99Ms);
-    putF64(out, r.firstPartialP999Ms);
+    server::forEachSnapshotField([&](const auto &field) {
+        putStat(out, r.engine.*field.member);
+    });
     putU64(out, r.streamsOpened);
     putU64(out, r.streamsActive);
     putU64(out, r.retryAfterSent);
-    putU64(out, r.degradedStreams);
-    putU64(out, r.deadlinesExpired);
     out.push_back(r.overloadState);
 }
 
@@ -383,20 +406,13 @@ bool
 decodeStatsReply(std::span<const std::uint8_t> payload, StatsReply &r)
 {
     std::size_t off = 0;
-    if (!getU64(payload, off, r.utterances) ||
-        !getF64(payload, off, r.audioSeconds) ||
-        !getF64(payload, off, r.wallSeconds) ||
-        !getF64(payload, off, r.latencyP50Ms) ||
-        !getF64(payload, off, r.latencyP99Ms) ||
-        !getF64(payload, off, r.latencyP999Ms) ||
-        !getF64(payload, off, r.firstPartialP50Ms) ||
-        !getF64(payload, off, r.firstPartialP99Ms) ||
-        !getF64(payload, off, r.firstPartialP999Ms) ||
-        !getU64(payload, off, r.streamsOpened) ||
+    bool ok = true;
+    server::forEachSnapshotField([&](const auto &field) {
+        ok = ok && getStat(payload, off, r.engine.*field.member);
+    });
+    if (!ok || !getU64(payload, off, r.streamsOpened) ||
         !getU64(payload, off, r.streamsActive) ||
-        !getU64(payload, off, r.retryAfterSent) ||
-        !getU64(payload, off, r.degradedStreams) ||
-        !getU64(payload, off, r.deadlinesExpired))
+        !getU64(payload, off, r.retryAfterSent))
         return false;
     if (off >= payload.size())
         return false;

@@ -31,7 +31,7 @@
  *   STATS    poll the server's serving telemetry -> one RESP_STATS.
  *            Payload empty; streamId is echoed but carries no
  *            meaning (stats are server-wide, not per-stream).  This
- *            is how a load generator or ops poller reads the
+ *            is how a load generator or ops poller reads the whole
  *            EngineStats snapshot over the wire instead of scraping
  *            logs.
  *
@@ -52,10 +52,11 @@
  *                Terminal for the stream: sent instead of FINAL (or
  *                as the answer to any request on the foreclosed
  *                stream) once the OPEN-declared deadline expired.
- *   RESP_STATS   fixed-size serving snapshot (see StatsReply): the
- *                engine's utterance/latency aggregates with their
- *                p50/p99/p99.9 tails, the server's stream counters,
- *                and its current overload state.
+ *   RESP_STATS   fixed-size serving snapshot (see StatsReply): every
+ *                EngineSnapshot member in server::kSnapshotFields
+ *                order (u64 or f64 each), then u64 streamsOpened,
+ *                streamsActive and retryAfterSent, then the u8
+ *                overload state -- 281 bytes.
  *
  * The flags byte on PARTIAL/FINAL carries kResultFlagDegraded when
  * the stream was admitted with overload-degraded search knobs: the
@@ -77,6 +78,7 @@
 #include <string>
 #include <vector>
 
+#include "server/engine_stats.hh"
 #include "wfst/types.hh"
 
 namespace asr::net {
@@ -242,32 +244,23 @@ bool decodeDeadlineExceeded(std::span<const std::uint8_t> payload,
                             std::uint32_t &deadline_ms);
 
 /**
- * RESP_STATS payload: the over-the-wire slice of an EngineSnapshot
- * plus the server-side stream counters.  Fixed-size -- every field
- * always present, in declaration order -- so the decoder's exact-
- * consumption check doubles as a version check: a peer speaking a
- * different snapshot layout produces a malformed frame, not silently
- * shifted fields.
+ * RESP_STATS payload: the endpoint's whole EngineSnapshot plus the
+ * server-side stream counters.  The codec walks
+ * server::kSnapshotFields, so both ends encode every engine metric
+ * in one fixed order.  Fixed-size -- every field always present --
+ * so the decoder's exact-consumption check doubles as a version
+ * check: a peer built with a different field list produces a
+ * malformed frame, not silently shifted fields.  No field names
+ * travel, so the decoder never parses names out of untrusted bytes.
  */
 struct StatsReply
 {
-    // Engine aggregates (EngineSnapshot).
-    std::uint64_t utterances = 0;
-    double audioSeconds = 0.0;
-    double wallSeconds = 0.0;
-    double latencyP50Ms = 0.0;
-    double latencyP99Ms = 0.0;
-    double latencyP999Ms = 0.0;
-    double firstPartialP50Ms = 0.0;
-    double firstPartialP99Ms = 0.0;
-    double firstPartialP999Ms = 0.0;
+    server::EngineSnapshot engine;
 
     // Server counters (ServerCounters) + live load.
     std::uint64_t streamsOpened = 0;
     std::uint64_t streamsActive = 0;   //!< open or finishing now
     std::uint64_t retryAfterSent = 0;
-    std::uint64_t degradedStreams = 0;
-    std::uint64_t deadlinesExpired = 0;
 
     /** OverloadMonitor::State as its enumerator value (0/1/2). */
     std::uint8_t overloadState = 0;

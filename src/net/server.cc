@@ -511,22 +511,11 @@ Server::handleStats(Connection &conn, const Frame &frame)
     // activeStreams() counts this server's own connections, which is
     // the load the *endpoint behind it* may not know about (parked
     // backlogs included).
-    const server::EngineSnapshot snap = engine.stats();
     StatsReply reply;
-    reply.utterances = snap.utterances;
-    reply.audioSeconds = snap.audioSeconds;
-    reply.wallSeconds = snap.wallSeconds;
-    reply.latencyP50Ms = snap.latencyP50Ms;
-    reply.latencyP99Ms = snap.latencyP99Ms;
-    reply.latencyP999Ms = snap.latencyP999Ms;
-    reply.firstPartialP50Ms = snap.firstPartialP50Ms;
-    reply.firstPartialP99Ms = snap.firstPartialP99Ms;
-    reply.firstPartialP999Ms = snap.firstPartialP999Ms;
+    reply.engine = engine.stats();
     reply.streamsOpened = count.streamsOpened.load();
     reply.streamsActive = activeStreams();
     reply.retryAfterSent = count.retryAfterSent.load();
-    reply.degradedStreams = snap.degradedStreams;
-    reply.deadlinesExpired = snap.deadlinesExpired;
     reply.overloadState = std::uint8_t(monitor.state());
     std::vector<std::uint8_t> payload;
     encodeStatsReply(payload, reply);

@@ -2,8 +2,44 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 
 namespace asr::server {
+
+namespace {
+
+/** True when list entries @p a and @p b name the same member. */
+template <typename A, typename B>
+constexpr bool
+sameMember(const SnapshotField<A> &a, const SnapshotField<B> &b)
+{
+    if constexpr (std::is_same_v<A, B>)
+        return a.member == b.member;
+    else
+        return false;
+}
+
+} // namespace
+
+// The list cannot drift from the struct: a member added without a
+// list line breaks the size sum, and a member listed twice breaks
+// the second check.
+static_assert(std::apply(
+                  [](const auto &...field) {
+                      return (sizeof(EngineSnapshot{}.*field.member) +
+                              ...);
+                  },
+                  kSnapshotFields) == sizeof(EngineSnapshot),
+              "every EngineSnapshot member needs a kSnapshotFields line");
+static_assert(std::apply(
+                  [](const auto &...field) {
+                      const auto timesListed = [&](const auto &one) {
+                          return (int(sameMember(one, field)) + ...);
+                      };
+                      return ((timesListed(field) == 1) && ...);
+                  },
+                  kSnapshotFields),
+              "an EngineSnapshot member is listed twice");
 
 EngineStats::EngineStats()
     // RTF rarely exceeds a few x realtime here; 0.01 buckets keep the
@@ -15,23 +51,39 @@ EngineStats::EngineStats()
 }
 
 void
-EngineStats::recordUtterance(const UtteranceSample &sample)
+merge(EngineSnapshot &into, const EngineSnapshot &from)
 {
+    forEachSnapshotField([&](const auto &field) {
+        auto &to = into.*field.member;
+        const auto value = from.*field.member;
+        to = field.merge == Merge::Sum ? to + value : std::max(to, value);
+    });
+}
+
+void
+EngineStats::recordUtterance(const pipeline::RecognitionResult &result,
+                             double latency_seconds)
+{
+    // The utterance as a one-utterance snapshot, folded in by the
+    // list's merge rules (so the arena peak is a max, not a sum).
+    EngineSnapshot one;
+    one.utterances = 1;
+    one.audioSeconds = result.audioSeconds;
+    one.decodeSeconds = result.frontendSeconds + result.acousticSeconds +
+                        result.searchSeconds;
+    one.searchSeconds = result.searchSeconds;
+    one.dnnSeconds = result.acousticSeconds;
+    one.arenaPeakEntries = result.searchStats.arenaPeakEntries;
+    one.arenaGcRuns = result.searchStats.arenaGcRuns;
+    one.bpAppendsSkipped = result.searchStats.bpAppendsSkipped;
+    one.framesDecoded = result.searchStats.framesDecoded;
+    one.graphBytesTouched = result.searchStats.graphBytesTouched;
+
     std::lock_guard<std::mutex> lock(mu);
-    ++utterances;
-    audioSeconds += sample.audioSeconds;
-    decodeSeconds += sample.decodeSeconds;
-    searchSeconds += sample.searchSeconds;
-    dnnSeconds += sample.dnnSeconds;
-    arenaPeakEntries =
-        std::max(arenaPeakEntries, sample.arenaPeakEntries);
-    arenaGcRuns += sample.arenaGcRuns;
-    bpAppendsSkipped += sample.bpAppendsSkipped;
-    framesDecoded += sample.framesDecoded;
-    graphBytesTouched += sample.graphBytesTouched;
-    if (sample.audioSeconds > 0.0)
-        rtf.sample(sample.decodeSeconds / sample.audioSeconds);
-    latencyMs.sample(sample.latencySeconds * 1e3);
+    merge(totals, one);
+    if (one.audioSeconds > 0.0)
+        rtf.sample(one.decodeSeconds / one.audioSeconds);
+    latencyMs.sample(latency_seconds * 1e3);
 }
 
 void
@@ -45,79 +97,48 @@ void
 EngineStats::recordSegment()
 {
     std::lock_guard<std::mutex> lock(mu);
-    ++segments;
+    ++totals.segments;
 }
 
 void
 EngineStats::recordGateOpen()
 {
     std::lock_guard<std::mutex> lock(mu);
-    ++gateOpens;
+    ++totals.gateOpens;
 }
 
 void
 EngineStats::recordDegradedStream()
 {
     std::lock_guard<std::mutex> lock(mu);
-    ++degradedStreams;
+    ++totals.degradedStreams;
 }
 
 void
 EngineStats::recordDeadlineExpired()
 {
     std::lock_guard<std::mutex> lock(mu);
-    ++deadlinesExpired;
+    ++totals.deadlinesExpired;
 }
 
 void
 EngineStats::recordDnnBatch(std::size_t rows, double seconds)
 {
+    EngineSnapshot pass;
+    pass.dnnBatches = 1;
+    pass.dnnBatchedFrames = rows;
+    pass.dnnBatchSeconds = seconds;
+    pass.dnnMaxBatchRows = double(rows);
     std::lock_guard<std::mutex> lock(mu);
-    ++dnnBatches;
-    dnnBatchedFrames += rows;
-    dnnBatchSeconds += seconds;
-    dnnMaxBatchRows = std::max(dnnMaxBatchRows, double(rows));
-}
-
-double
-EngineStats::quantile(Metric metric, double fraction) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    switch (metric) {
-    case Metric::Rtf:
-        return rtf.quantile(fraction);
-    case Metric::LatencyMs:
-        return latencyMs.quantile(fraction);
-    case Metric::FirstPartialMs:
-        return firstPartialMs.quantile(fraction);
-    }
-    return 0.0;
+    merge(totals, pass);
 }
 
 EngineSnapshot
 EngineStats::snapshot(double wall_seconds) const
 {
     std::lock_guard<std::mutex> lock(mu);
-    EngineSnapshot s;
-    s.utterances = utterances;
-    s.audioSeconds = audioSeconds;
-    s.decodeSeconds = decodeSeconds;
+    EngineSnapshot s = totals;
     s.wallSeconds = wall_seconds;
-    s.searchSeconds = searchSeconds;
-    s.dnnSeconds = dnnSeconds;
-    s.arenaPeakEntries = arenaPeakEntries;
-    s.arenaGcRuns = arenaGcRuns;
-    s.bpAppendsSkipped = bpAppendsSkipped;
-    s.framesDecoded = framesDecoded;
-    s.graphBytesTouched = graphBytesTouched;
-    s.dnnBatches = dnnBatches;
-    s.dnnBatchedFrames = dnnBatchedFrames;
-    s.dnnBatchSeconds = dnnBatchSeconds;
-    s.dnnMaxBatchRows = dnnMaxBatchRows;
-    s.segments = segments;
-    s.gateOpens = gateOpens;
-    s.degradedStreams = degradedStreams;
-    s.deadlinesExpired = deadlinesExpired;
     s.rtfMean = rtf.mean();
     s.rtfP50 = rtf.quantile(0.50);
     s.rtfP99 = rtf.quantile(0.99);
@@ -138,73 +159,10 @@ void
 EngineStats::clear()
 {
     std::lock_guard<std::mutex> lock(mu);
-    utterances = 0;
-    audioSeconds = 0.0;
-    decodeSeconds = 0.0;
-    searchSeconds = 0.0;
-    dnnSeconds = 0.0;
-    arenaPeakEntries = 0;
-    arenaGcRuns = 0;
-    bpAppendsSkipped = 0;
-    framesDecoded = 0;
-    graphBytesTouched = 0;
-    dnnBatches = 0;
-    dnnBatchedFrames = 0;
-    dnnBatchSeconds = 0.0;
-    dnnMaxBatchRows = 0.0;
-    segments = 0;
-    gateOpens = 0;
-    degradedStreams = 0;
-    deadlinesExpired = 0;
+    totals = EngineSnapshot{};
     rtf.clear();
     latencyMs.clear();
     firstPartialMs.clear();
-}
-
-sim::StatSet
-EngineSnapshot::toStatSet() const
-{
-    // StatSet counters are integral; scale the sub-second quantities
-    // into micro-units so they survive the conversion.
-    sim::StatSet set;
-    set.set("engine.utterances", utterances);
-    set.set("engine.audio_us", std::uint64_t(audioSeconds * 1e6));
-    set.set("engine.decode_us", std::uint64_t(decodeSeconds * 1e6));
-    set.set("engine.wall_us", std::uint64_t(wallSeconds * 1e6));
-    set.set("engine.rtf_p50_milli", std::uint64_t(rtfP50 * 1e3));
-    set.set("engine.rtf_p99_milli", std::uint64_t(rtfP99 * 1e3));
-    set.set("engine.rtf_p999_milli", std::uint64_t(rtfP999 * 1e3));
-    set.set("engine.latency_p50_us",
-            std::uint64_t(latencyP50Ms * 1e3));
-    set.set("engine.latency_p99_us",
-            std::uint64_t(latencyP99Ms * 1e3));
-    set.set("engine.latency_p999_us",
-            std::uint64_t(latencyP999Ms * 1e3));
-    set.set("engine.first_partials", firstPartials);
-    set.set("engine.first_partial_p50_us",
-            std::uint64_t(firstPartialP50Ms * 1e3));
-    set.set("engine.first_partial_p99_us",
-            std::uint64_t(firstPartialP99Ms * 1e3));
-    set.set("engine.first_partial_p999_us",
-            std::uint64_t(firstPartialP999Ms * 1e3));
-    set.set("engine.search_us", std::uint64_t(searchSeconds * 1e6));
-    set.set("engine.dnn_us", std::uint64_t(dnnSeconds * 1e6));
-    set.set("engine.arena_peak_entries", arenaPeakEntries);
-    set.set("engine.arena_gc_runs", arenaGcRuns);
-    set.set("engine.bp_appends_skipped", bpAppendsSkipped);
-    set.set("engine.frames_decoded", framesDecoded);
-    set.set("engine.graph_bytes_touched", graphBytesTouched);
-    set.set("engine.graph_bytes_per_frame",
-            std::uint64_t(graphBytesPerFrame()));
-    set.set("engine.dnn_batches", dnnBatches);
-    set.set("engine.dnn_batched_frames", dnnBatchedFrames);
-    set.set("engine.dnn_batch_us",
-            std::uint64_t(dnnBatchSeconds * 1e6));
-    set.set("engine.segments", segments);
-    set.set("engine.gate_opens", gateOpens);
-    set.set("engine.degraded_streams", degradedStreams);
-    set.set("engine.deadlines_expired", deadlinesExpired);
-    return set;
 }
 
 std::string

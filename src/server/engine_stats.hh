@@ -2,9 +2,14 @@
  * @file
  * Aggregate statistics of a decode engine serving many utterances:
  * throughput (utterances/sec), real-time-factor distribution, and
- * session latency percentiles.  Built on sim::Histogram/StatSet so
- * the server layer reports through the same machinery as the
- * cycle-level simulator.
+ * session latency percentiles.  Built on sim::Histogram so the server
+ * layer reports through the same machinery as the cycle-level
+ * simulator.
+ *
+ * EngineSnapshot's members are listed once, in kSnapshotFields, with
+ * each one's merge rule.  The accumulator, the fleet router's
+ * aggregate and the STATS wire frame all walk that list, so adding a
+ * metric takes one member plus one list line.
  *
  * Thread-safe: recordUtterance may be called concurrently from any
  * number of worker threads; snapshot() returns a consistent copy.
@@ -13,10 +18,13 @@
 #ifndef ASR_SERVER_ENGINE_STATS_HH
 #define ASR_SERVER_ENGINE_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <tuple>
 
+#include "pipeline/recognition.hh"
 #include "sim/stats.hh"
 
 namespace asr::server {
@@ -130,27 +138,95 @@ struct EngineSnapshot
         return audioSeconds > 0.0 ? decodeSeconds / audioSeconds : 0.0;
     }
 
-    /** Render as a sim::StatSet ("name = value" lines, micro units). */
-    sim::StatSet toStatSet() const;
-
     /** Human-readable multi-line summary. */
     std::string render() const;
 };
 
-/** One finished utterance's contribution to the engine aggregates. */
-struct UtteranceSample
+/** How one EngineSnapshot member combines two disjoint sets of work. */
+enum class Merge
 {
-    double audioSeconds = 0.0;    //!< speech duration
-    double decodeSeconds = 0.0;   //!< wall-clock the session spent
-    double latencySeconds = 0.0;  //!< submit-to-result (queue + decode)
-    double searchSeconds = 0.0;   //!< Viterbi share of decodeSeconds
-    double dnnSeconds = 0.0;      //!< acoustic share of decodeSeconds
-    std::uint64_t arenaPeakEntries = 0;  //!< session arena high-water
-    std::uint64_t arenaGcRuns = 0;
-    std::uint64_t bpAppendsSkipped = 0;
-    std::uint64_t framesDecoded = 0;     //!< frames the search decoded
-    std::uint64_t graphBytesTouched = 0; //!< graph bytes it read for them
+    Sum,  //!< counts and seconds add up
+    Max,  //!< peaks, wall-clock and distribution summaries
 };
+
+/** One list entry: a member's name, where it lives, how it merges. */
+template <typename T>
+struct SnapshotField
+{
+    const char *name;
+    T EngineSnapshot::*member;
+    Merge merge;
+};
+
+/**
+ * Every EngineSnapshot member, once, in wire order: the STATS frame
+ * carries them in this order.  engine_stats.cc checks at compile
+ * time that each member is listed exactly once.
+ *
+ * Merge rules: counts and seconds add up.  Wall-clock, the arena and
+ * batch peaks and every distribution summary (the RTF mean, the
+ * percentiles, the maxima) keep the larger value.  Across a fleet
+ * that is the worst shard's, a conservative headline rather than a
+ * merge of histograms; each shard's own snapshot stays exact.
+ */
+inline constexpr std::tuple kSnapshotFields{
+    SnapshotField{"utterances", &EngineSnapshot::utterances, Merge::Sum},
+    SnapshotField{"audioSeconds", &EngineSnapshot::audioSeconds, Merge::Sum},
+    SnapshotField{"decodeSeconds", &EngineSnapshot::decodeSeconds, Merge::Sum},
+    SnapshotField{"wallSeconds", &EngineSnapshot::wallSeconds, Merge::Max},
+    SnapshotField{"rtfMean", &EngineSnapshot::rtfMean, Merge::Max},
+    SnapshotField{"rtfP50", &EngineSnapshot::rtfP50, Merge::Max},
+    SnapshotField{"rtfP99", &EngineSnapshot::rtfP99, Merge::Max},
+    SnapshotField{"rtfP999", &EngineSnapshot::rtfP999, Merge::Max},
+    SnapshotField{"latencyP50Ms", &EngineSnapshot::latencyP50Ms, Merge::Max},
+    SnapshotField{"latencyP99Ms", &EngineSnapshot::latencyP99Ms, Merge::Max},
+    SnapshotField{"latencyP999Ms", &EngineSnapshot::latencyP999Ms, Merge::Max},
+    SnapshotField{"latencyMaxMs", &EngineSnapshot::latencyMaxMs, Merge::Max},
+    SnapshotField{"firstPartials", &EngineSnapshot::firstPartials, Merge::Sum},
+    SnapshotField{"firstPartialP50Ms", &EngineSnapshot::firstPartialP50Ms,
+                  Merge::Max},
+    SnapshotField{"firstPartialP99Ms", &EngineSnapshot::firstPartialP99Ms,
+                  Merge::Max},
+    SnapshotField{"firstPartialP999Ms", &EngineSnapshot::firstPartialP999Ms,
+                  Merge::Max},
+    SnapshotField{"firstPartialMaxMs", &EngineSnapshot::firstPartialMaxMs,
+                  Merge::Max},
+    SnapshotField{"searchSeconds", &EngineSnapshot::searchSeconds, Merge::Sum},
+    SnapshotField{"dnnSeconds", &EngineSnapshot::dnnSeconds, Merge::Sum},
+    SnapshotField{"arenaPeakEntries", &EngineSnapshot::arenaPeakEntries,
+                  Merge::Max},
+    SnapshotField{"arenaGcRuns", &EngineSnapshot::arenaGcRuns, Merge::Sum},
+    SnapshotField{"bpAppendsSkipped", &EngineSnapshot::bpAppendsSkipped,
+                  Merge::Sum},
+    SnapshotField{"framesDecoded", &EngineSnapshot::framesDecoded, Merge::Sum},
+    SnapshotField{"graphBytesTouched", &EngineSnapshot::graphBytesTouched,
+                  Merge::Sum},
+    SnapshotField{"segments", &EngineSnapshot::segments, Merge::Sum},
+    SnapshotField{"gateOpens", &EngineSnapshot::gateOpens, Merge::Sum},
+    SnapshotField{"degradedStreams", &EngineSnapshot::degradedStreams,
+                  Merge::Sum},
+    SnapshotField{"deadlinesExpired", &EngineSnapshot::deadlinesExpired,
+                  Merge::Sum},
+    SnapshotField{"dnnBatches", &EngineSnapshot::dnnBatches, Merge::Sum},
+    SnapshotField{"dnnBatchedFrames", &EngineSnapshot::dnnBatchedFrames,
+                  Merge::Sum},
+    SnapshotField{"dnnBatchSeconds", &EngineSnapshot::dnnBatchSeconds,
+                  Merge::Sum},
+    SnapshotField{"dnnMaxBatchRows", &EngineSnapshot::dnnMaxBatchRows,
+                  Merge::Max},
+};
+
+/** Call @p f(field) for every kSnapshotFields entry, in order. */
+template <typename F>
+constexpr void
+forEachSnapshotField(F &&f)
+{
+    std::apply([&](const auto &...field) { (f(field), ...); },
+               kSnapshotFields);
+}
+
+/** Fold @p from into @p into by each field's merge rule. */
+void merge(EngineSnapshot &into, const EngineSnapshot &from);
 
 /** Thread-safe accumulator behind EngineSnapshot. */
 class EngineStats
@@ -158,24 +234,13 @@ class EngineStats
   public:
     EngineStats();
 
-    /** Fold one finished utterance into the aggregates. */
-    void recordUtterance(const UtteranceSample &sample);
-
     /**
-     * Convenience overload for callers without the decode-time
-     * split.
-     * @param audio_seconds   speech duration of the utterance
-     * @param decode_seconds  wall-clock the session spent on it
+     * Fold one finished utterance into the aggregates.
+     * @param result          the utterance's recognition result
      * @param latency_seconds submit-to-result latency (queue + decode)
      */
-    void
-    recordUtterance(double audio_seconds, double decode_seconds,
-                    double latency_seconds)
-    {
-        recordUtterance(UtteranceSample{audio_seconds, decode_seconds,
-                                        latency_seconds, 0.0, 0.0, 0,
-                                        0, 0});
-    }
+    void recordUtterance(const pipeline::RecognitionResult &result,
+                         double latency_seconds);
 
     /**
      * Fold one cross-session batched forward pass into the
@@ -203,24 +268,6 @@ class EngineStats
     /** Record one stream cancelled/foreclosed by its deadline. */
     void recordDeadlineExpired();
 
-    /** The histogram-backed metrics quantile() can be asked about. */
-    enum class Metric
-    {
-        Rtf,            //!< real-time factor per utterance
-        LatencyMs,      //!< submit-to-result latency, milliseconds
-        FirstPartialMs, //!< open-to-first-partial, milliseconds
-    };
-
-    /**
-     * Generic quantile accessor over the named metric's histogram:
-     * the value below which @p fraction of the samples fall
-     * (sim::Histogram bucket-boundary estimate).  The snapshot's
-     * fixed p50/p99/p99.9 fields come from exactly this; callers
-     * needing another cut (a bench sweeping SLO percentiles, say)
-     * ask here instead of growing the snapshot.
-     */
-    double quantile(Metric metric, double fraction) const;
-
     /** @param wall_seconds engine wall-clock for throughput */
     EngineSnapshot snapshot(double wall_seconds = 0.0) const;
 
@@ -229,24 +276,9 @@ class EngineStats
 
   private:
     mutable std::mutex mu;
-    std::uint64_t utterances = 0;
-    double audioSeconds = 0.0;
-    double decodeSeconds = 0.0;
-    double searchSeconds = 0.0;
-    double dnnSeconds = 0.0;
-    std::uint64_t arenaPeakEntries = 0;
-    std::uint64_t arenaGcRuns = 0;
-    std::uint64_t bpAppendsSkipped = 0;
-    std::uint64_t framesDecoded = 0;
-    std::uint64_t graphBytesTouched = 0;
-    std::uint64_t dnnBatches = 0;
-    std::uint64_t dnnBatchedFrames = 0;
-    double dnnBatchSeconds = 0.0;
-    double dnnMaxBatchRows = 0.0;
-    std::uint64_t segments = 0;
-    std::uint64_t gateOpens = 0;
-    std::uint64_t degradedStreams = 0;
-    std::uint64_t deadlinesExpired = 0;
+    /** The additive members and peaks; the distribution summaries
+     *  stay zero here and come from the histograms in snapshot(). */
+    EngineSnapshot totals;
     sim::Histogram rtf;        //!< RTF samples
     sim::Histogram latencyMs;  //!< latency samples in milliseconds
     sim::Histogram firstPartialMs;  //!< time-to-first-partial, ms

@@ -25,11 +25,14 @@ Histogram::sample(double value)
     ++count_;
     sum_ += value;
 
-    auto idx = static_cast<std::uint64_t>(value / bucketWidth);
-    if (value < 0 || idx >= buckets.size())
+    // Range-check in double before converting: a negative, NaN or
+    // huge value has no integral bucket index, and converting it
+    // would be undefined behaviour.  All of them count as overflow.
+    const double pos = value / bucketWidth;
+    if (!(value >= 0.0) || pos >= static_cast<double>(buckets.size()))
         ++overflow;
     else
-        ++buckets[idx];
+        ++buckets[static_cast<std::size_t>(pos)];
 }
 
 double

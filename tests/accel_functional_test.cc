@@ -141,19 +141,22 @@ TEST_P(AccelEquivalence, MatchesSoftwareAndSortedLayout)
     EXPECT_NEAR(sorted_result.score, sw_result.score, 1e-3f);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, AccelEquivalence,
-    ::testing::Values(
-        EquivalenceCase{50, 8, 0.115, true, 1},
-        EquivalenceCase{50, 8, 0.115, true, 2},
-        EquivalenceCase{200, 16, 0.115, true, 3},
-        EquivalenceCase{200, 16, 0.0, true, 4},
-        EquivalenceCase{200, 16, 0.3, true, 5},
-        EquivalenceCase{500, 32, 0.115, false, 6},
-        EquivalenceCase{500, 32, 0.115, true, 7},
-        EquivalenceCase{1000, 64, 0.2, false, 8},
-        EquivalenceCase{1000, 64, 0.115, true, 9},
-        EquivalenceCase{100, 4, 0.115, true, 10}));
+/**
+ * gtest names each case after the printed bytes of its
+ * EquivalenceCase, padding included.  A constant-initialized table
+ * has zero padding, so the test names do not depend on stack garbage
+ * at start-up.
+ */
+constexpr EquivalenceCase kEquivalenceCases[] = {
+    {50, 8, 0.115, true, 1},     {50, 8, 0.115, true, 2},
+    {200, 16, 0.115, true, 3},   {200, 16, 0.0, true, 4},
+    {200, 16, 0.3, true, 5},     {500, 32, 0.115, false, 6},
+    {500, 32, 0.115, true, 7},   {1000, 64, 0.2, false, 8},
+    {1000, 64, 0.115, true, 9},  {100, 4, 0.115, true, 10},
+};
+
+INSTANTIATE_TEST_SUITE_P(Shapes, AccelEquivalence,
+                         ::testing::ValuesIn(kEquivalenceCases));
 
 TEST(AccelFunctional, MatchesBruteForceWithoutBeam)
 {

@@ -105,7 +105,10 @@ TEST(BuildSanity, GpuModels)
 TEST(BuildSanity, ServerEngineStats)
 {
     asr::server::EngineStats stats;
-    stats.recordUtterance(1.0, 0.25, 0.30);
+    asr::pipeline::RecognitionResult result;
+    result.audioSeconds = 1.0;
+    result.searchSeconds = 0.25;
+    stats.recordUtterance(result, 0.30);
     const auto snap = stats.snapshot(2.0);
     EXPECT_EQ(snap.utterances, 1u);
     EXPECT_NEAR(snap.aggregateRtf(), 0.25, 1e-9);

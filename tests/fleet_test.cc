@@ -31,6 +31,7 @@
 #include <cmath>
 #include <future>
 #include <span>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -478,6 +479,34 @@ TEST_F(FleetTest, AggregateStatsSumShards)
               std::max(s0.latencyP99Ms, s1.latencyP99Ms));
 }
 
+TEST_F(FleetTest, OneShardRouterStatsEqualItsEngine)
+{
+    // The fleet aggregate of one shard is that shard's snapshot, on
+    // every listed field.  Utterances of different lengths decode at
+    // different RTFs, so the mean of per-utterance RTFs (what the
+    // engine reports) differs from total decode over total audio.
+    ShardRouter router(*model, routerOptions(1));
+    std::vector<double> rtfs;
+    for (const unsigned phones : {3u, 12u}) {
+        const StreamHandle h = router.open();
+        pushAll(router, h, testAudio(60 + phones, phones));
+        rtfs.push_back(router.finish(h).get().realTimeFactor());
+    }
+    router.drain();
+    ASSERT_NE(rtfs[0], rtfs[1]);
+
+    const server::EngineSnapshot fleet = router.stats();
+    const server::EngineSnapshot engine = router.shardStats(0);
+    EXPECT_EQ(engine.utterances, 2u);
+    server::forEachSnapshotField([&](const auto &field) {
+        // Wall-clock is sampled at each call, so the two differ.
+        if (std::string_view(field.name) != "wallSeconds") {
+            EXPECT_EQ(fleet.*field.member, engine.*field.member)
+                << field.name;
+        }
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Arrival processes.
 // ---------------------------------------------------------------------------
@@ -676,11 +705,11 @@ TEST_F(FleetTest, ServerFrontsRouterAndStatsRoundTrips)
     // STATS round-trip carries the fleet-aggregate telemetry.
     net::StatsReply stats;
     ASSERT_TRUE(client.requestStats(stats));
-    EXPECT_EQ(stats.utterances, 2u);
+    EXPECT_EQ(stats.engine.utterances, 2u);
     EXPECT_EQ(stats.streamsOpened, 2u);
     EXPECT_EQ(stats.streamsActive, 0u);
     EXPECT_LE(stats.overloadState, 2u);
-    EXPECT_GT(stats.latencyP99Ms, 0.0);
+    EXPECT_GT(stats.engine.latencyP99Ms, 0.0);
     EXPECT_EQ(server.counters().statsRequests, 1u);
 
     client.disconnect();

@@ -399,55 +399,63 @@ TEST(NetProtocol, TypePredicatesMatchTheEnum)
 // STATS reply.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/** The @p k-th listed field's test value: both u64 halves set. */
+void
+distinctValue(std::uint64_t &v, std::uint64_t k)
+{
+    v = (k << 32) | k;
+}
+
+/** The @p k-th listed field's test value: not a whole number. */
+void
+distinctValue(double &v, std::uint64_t k)
+{
+    v = double(k) + 0.25;
+}
+
+} // namespace
+
 TEST(NetProtocol, StatsReplyRoundTrip)
 {
+    // Every field gets its own value, so a swapped, dropped or
+    // repeated field in the codec cannot round-trip unnoticed.
     StatsReply in;
-    in.utterances = 12345;
-    in.audioSeconds = 67.5;
-    in.wallSeconds = 89.25;
-    in.latencyP50Ms = 10.5;
-    in.latencyP99Ms = 99.9;
-    in.latencyP999Ms = 250.0;
-    in.firstPartialP50Ms = 30.0;
-    in.firstPartialP99Ms = 120.0;
-    in.firstPartialP999Ms = 480.0;
+    std::uint64_t k = 0;
+    server::forEachSnapshotField([&](const auto &field) {
+        distinctValue(in.engine.*field.member, ++k);
+    });
     in.streamsOpened = 777;
     in.streamsActive = 42;
     in.retryAfterSent = 13;
-    in.degradedStreams = 5;
-    in.deadlinesExpired = 2;
     in.overloadState = 2;
     std::vector<std::uint8_t> payload;
     encodeStatsReply(payload, in);
+    // 32 engine fields and 3 server counters of 8 bytes, 1 state byte.
+    EXPECT_EQ(payload.size(), 32u * 8 + 3 * 8 + 1);
 
     StatsReply out;
     ASSERT_TRUE(decodeStatsReply(payload, out));
-    EXPECT_EQ(out.utterances, in.utterances);
-    EXPECT_EQ(out.audioSeconds, in.audioSeconds);
-    EXPECT_EQ(out.wallSeconds, in.wallSeconds);
-    EXPECT_EQ(out.latencyP50Ms, in.latencyP50Ms);
-    EXPECT_EQ(out.latencyP99Ms, in.latencyP99Ms);
-    EXPECT_EQ(out.latencyP999Ms, in.latencyP999Ms);
-    EXPECT_EQ(out.firstPartialP50Ms, in.firstPartialP50Ms);
-    EXPECT_EQ(out.firstPartialP99Ms, in.firstPartialP99Ms);
-    EXPECT_EQ(out.firstPartialP999Ms, in.firstPartialP999Ms);
+    server::forEachSnapshotField([&](const auto &field) {
+        EXPECT_EQ(out.engine.*field.member, in.engine.*field.member)
+            << field.name;
+    });
     EXPECT_EQ(out.streamsOpened, in.streamsOpened);
     EXPECT_EQ(out.streamsActive, in.streamsActive);
     EXPECT_EQ(out.retryAfterSent, in.retryAfterSent);
-    EXPECT_EQ(out.degradedStreams, in.degradedStreams);
-    EXPECT_EQ(out.deadlinesExpired, in.deadlinesExpired);
     EXPECT_EQ(out.overloadState, in.overloadState);
 }
 
 TEST(NetProtocol, StatsReplyRejectsTruncationAtEveryCut)
 {
     StatsReply in;
-    in.utterances = 9;
+    in.engine.utterances = 9;
     in.overloadState = 1;
     std::vector<std::uint8_t> payload;
     encodeStatsReply(payload, in);
 
-    // Fixed-size payload in declaration order: the exact-consumption
+    // Fixed-size payload in list order: the exact-consumption
     // check doubles as the layout/version check, so any cut -- and
     // any stray trailing byte -- must fail loudly.
     for (std::size_t cut = 0; cut < payload.size(); ++cut) {

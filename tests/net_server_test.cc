@@ -9,6 +9,8 @@
  *    Engine over the same audio, with matching session ids.
  *  - Multiplexing: several interleaved streams on one connection all
  *    come back bit-identical.
+ *  - Telemetry: a STATS reply carries every field of the engine's
+ *    snapshot.
  *  - The RETRY_AFTER contract, from both sources: the engine's
  *    admission limit (OpenStatus::Capacity once maxBatchSessions
  *    live streams are open; one-shot jobs do not count) and the
@@ -28,6 +30,7 @@
 #include <future>
 #include <span>
 #include <string>
+#include <string_view>
 #include <sys/socket.h>
 #include <thread>
 #include <vector>
@@ -190,6 +193,39 @@ TEST_F(NetServerTest, LoopbackMatchesInProcessEngineBitForBit)
     EXPECT_EQ(got.words, want.words);
     EXPECT_EQ(got.score, want.score);
     EXPECT_DOUBLE_EQ(got.audioSeconds, want.audioSeconds);
+}
+
+TEST_F(NetServerTest, StatsCarriesTheWholeEngineSnapshot)
+{
+    EngineOptions opts;
+    opts.numThreads = 2;
+    Engine engine(*model, opts);
+    net::Server server(engine);
+    net::Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()))
+        << client.lastError();
+    ASSERT_EQ(client.openStream(1), net::Client::OpenOutcome::Ok)
+        << client.lastError();
+    pushAll(client, 1, testAudio(12), 512);
+    net::FinalResult got;
+    ASSERT_TRUE(client.finishStream(1, got)) << client.lastError();
+
+    net::StatsReply stats;
+    ASSERT_TRUE(client.requestStats(stats)) << client.lastError();
+    const server::EngineSnapshot local = engine.stats();
+    // Search and batching telemetry reaches the wire too.
+    EXPECT_GT(stats.engine.framesDecoded, 0u);
+    EXPECT_GT(stats.engine.dnnBatches, 0u);
+    server::forEachSnapshotField([&](const auto &field) {
+        // Wall-clock is sampled at each call, so the two differ.
+        if (std::string_view(field.name) != "wallSeconds") {
+            EXPECT_EQ(stats.engine.*field.member, local.*field.member)
+                << field.name;
+        }
+    });
+    EXPECT_EQ(stats.streamsOpened, 1u);
+    EXPECT_EQ(stats.streamsActive, 0u);
+    EXPECT_EQ(stats.retryAfterSent, 0u);
 }
 
 TEST_F(NetServerTest, InterleavedStreamsOnOneConnectionStayIdentical)

@@ -358,9 +358,16 @@ TEST_F(ServerTest, SchedulerDrainAndReuse)
 
 TEST_F(ServerTest, EngineStatsSnapshotArithmetic)
 {
+    // Decode time spent outside search and DNN, so the split stays 0.
+    const auto timed = [](double audio_seconds, double decode_seconds) {
+        pipeline::RecognitionResult r;
+        r.audioSeconds = audio_seconds;
+        r.frontendSeconds = decode_seconds;
+        return r;
+    };
     EngineStats stats;
-    stats.recordUtterance(2.0, 0.5, 0.6);
-    stats.recordUtterance(1.0, 0.5, 0.1);
+    stats.recordUtterance(timed(2.0, 0.5), 0.6);
+    stats.recordUtterance(timed(1.0, 0.5), 0.1);
     const auto snap = stats.snapshot(4.0);
     EXPECT_EQ(snap.utterances, 2u);
     EXPECT_NEAR(snap.audioSeconds, 3.0, 1e-9);
@@ -368,43 +375,80 @@ TEST_F(ServerTest, EngineStatsSnapshotArithmetic)
     EXPECT_NEAR(snap.aggregateRtf(), 1.0 / 3.0, 1e-9);
     EXPECT_NEAR(snap.utterancesPerSecond(), 0.5, 1e-9);
     EXPECT_GE(snap.latencyMaxMs, 599.0);
-    const auto set = snap.toStatSet();
-    EXPECT_EQ(set.get("engine.utterances"), 2u);
     EXPECT_FALSE(snap.render().empty());
 }
 
 TEST_F(ServerTest, EngineStatsSearchSplitAndArenaTelemetry)
 {
     EngineStats stats;
-    UtteranceSample s1;
-    s1.audioSeconds = 2.0;
-    s1.decodeSeconds = 1.0;
-    s1.latencySeconds = 1.1;
-    s1.searchSeconds = 0.75;
-    s1.dnnSeconds = 0.25;
-    s1.arenaPeakEntries = 5000;
-    s1.arenaGcRuns = 3;
-    s1.bpAppendsSkipped = 42;
-    stats.recordUtterance(s1);
-    UtteranceSample s2 = s1;
-    s2.arenaPeakEntries = 2000;  // smaller peak: max, not sum
-    stats.recordUtterance(s2);
+    pipeline::RecognitionResult r1;
+    r1.audioSeconds = 2.0;
+    r1.searchSeconds = 0.75;
+    r1.acousticSeconds = 0.25;
+    r1.searchStats.arenaPeakEntries = 5000;
+    r1.searchStats.arenaGcRuns = 3;
+    r1.searchStats.bpAppendsSkipped = 42;
+    stats.recordUtterance(r1, 1.1);
+    pipeline::RecognitionResult r2 = r1;
+    r2.searchStats.arenaPeakEntries = 2000;  // smaller peak: max, not sum
+    stats.recordUtterance(r2, 1.1);
 
     const auto snap = stats.snapshot(4.0);
+    EXPECT_NEAR(snap.decodeSeconds, 2.0, 1e-9);
     EXPECT_NEAR(snap.searchSeconds, 1.5, 1e-9);
     EXPECT_NEAR(snap.dnnSeconds, 0.5, 1e-9);
     EXPECT_NEAR(snap.searchShare(), 0.75, 1e-9);
     EXPECT_EQ(snap.arenaPeakEntries, 5000u);
     EXPECT_EQ(snap.arenaGcRuns, 6u);
     EXPECT_EQ(snap.bpAppendsSkipped, 84u);
-    const auto set = snap.toStatSet();
-    EXPECT_EQ(set.get("engine.arena_peak_entries"), 5000u);
     EXPECT_NE(snap.render().find("decode split"), std::string::npos);
 
     stats.clear();
     const auto zero = stats.snapshot();
     EXPECT_EQ(zero.arenaPeakEntries, 0u);
     EXPECT_NEAR(zero.searchShare(), 0.0, 1e-12);
+}
+
+TEST_F(ServerTest, SnapshotMergeSumsCountsAndKeepsWorstSummaries)
+{
+    EngineSnapshot a;
+    a.utterances = 2;
+    a.audioSeconds = 1.5;
+    a.wallSeconds = 5.0;
+    a.rtfMean = 0.2;
+    a.latencyP99Ms = 30.0;
+    a.firstPartials = 1;
+    a.arenaPeakEntries = 700;
+    a.dnnMaxBatchRows = 4.0;
+    EngineSnapshot b;
+    b.utterances = 3;
+    b.audioSeconds = 2.0;
+    b.wallSeconds = 3.0;
+    b.rtfMean = 0.1;
+    b.latencyP99Ms = 45.0;
+    b.firstPartials = 4;
+    b.arenaPeakEntries = 500;
+    b.dnnMaxBatchRows = 9.0;
+
+    EngineSnapshot merged = a;
+    merge(merged, b);
+    EXPECT_EQ(merged.utterances, 5u);
+    EXPECT_EQ(merged.audioSeconds, 3.5);
+    EXPECT_EQ(merged.firstPartials, 5u);
+    EXPECT_EQ(merged.wallSeconds, 5.0);
+    EXPECT_EQ(merged.rtfMean, 0.2);
+    EXPECT_EQ(merged.latencyP99Ms, 45.0);
+    EXPECT_EQ(merged.arenaPeakEntries, 700u);
+    EXPECT_EQ(merged.dnnMaxBatchRows, 9.0);
+
+    // An empty snapshot is the identity: merging one snapshot into
+    // it reproduces that snapshot on every listed field.
+    EngineSnapshot alone;
+    merge(alone, merged);
+    forEachSnapshotField([&](const auto &field) {
+        EXPECT_EQ(alone.*field.member, merged.*field.member)
+            << field.name;
+    });
 }
 
 TEST_F(ServerTest, ArenaGcWatermarkFlowsThroughSchedulerUnchanged)

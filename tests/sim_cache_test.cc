@@ -159,14 +159,19 @@ TEST_P(CacheVsReference, IdenticalHitMissSequence)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, CacheVsReference,
-    ::testing::Values(CacheShape{1024, 1, 1}, CacheShape{1024, 2, 2},
-                      CacheShape{4096, 4, 3}, CacheShape{8192, 2, 4},
-                      CacheShape{64_KiB, 4, 5},
-                      CacheShape{64_KiB, 8, 6},
-                      CacheShape{512_KiB, 4, 7},
-                      CacheShape{1_MiB, 4, 8}));
+/**
+ * gtest names each case after the printed bytes of its CacheShape,
+ * padding included.  A constant-initialized table has zero padding,
+ * so the test names do not depend on stack garbage at start-up.
+ */
+constexpr CacheShape kCacheShapes[] = {
+    {1024, 1, 1},    {1024, 2, 2},    {4096, 4, 3},
+    {8192, 2, 4},    {64_KiB, 4, 5},  {64_KiB, 8, 6},
+    {512_KiB, 4, 7}, {1_MiB, 4, 8},
+};
+
+INSTANTIATE_TEST_SUITE_P(Shapes, CacheVsReference,
+                         ::testing::ValuesIn(kCacheShapes));
 
 TEST(Cache, MissRatioDecreasesWithCapacity)
 {

@@ -3,6 +3,8 @@
  * Tests for the statistics substrate: histograms and counter sets.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "sim/stats.hh"
@@ -48,6 +50,24 @@ TEST(Histogram, OverflowBucketStillTracksMax)
     h.sample(1000.0);
     EXPECT_DOUBLE_EQ(h.max(), 1000.0);
     EXPECT_EQ(h.count(), 1u);
+}
+
+TEST(Histogram, OutOfRangeSamplesCountAsOverflow)
+{
+    // None of these has a bucket index; converting them to one would
+    // be undefined behaviour (-fsanitize=float-cast-overflow traps).
+    Histogram h(1.0, 4);
+    for (double v : {-5.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), 1e30})
+        h.sample(v);
+    EXPECT_EQ(h.count(), 4u);
+    // No bucket holds a sample, so every quantile walks past them
+    // all to the largest sample seen.
+    EXPECT_EQ(h.quantile(0.5), std::numeric_limits<double>::infinity());
+
+    // An in-range sample still lands in its bucket.
+    h.sample(0.5);
+    EXPECT_DOUBLE_EQ(h.quantile(0.2), 1.0);
 }
 
 TEST(Histogram, ClearResets)

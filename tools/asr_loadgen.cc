@@ -210,10 +210,11 @@ main(int argc, char **argv)
             "server: %llu utterances  latency p99 %.1f ms "
             "(p99.9 %.1f)  first-partial p99 %.1f ms  "
             "retry-after %llu  degraded %llu  overload state %u\n",
-            (unsigned long long)stats.utterances, stats.latencyP99Ms,
-            stats.latencyP999Ms, stats.firstPartialP99Ms,
+            (unsigned long long)stats.engine.utterances,
+            stats.engine.latencyP99Ms, stats.engine.latencyP999Ms,
+            stats.engine.firstPartialP99Ms,
             (unsigned long long)stats.retryAfterSent,
-            (unsigned long long)stats.degradedStreams,
+            (unsigned long long)stats.engine.degradedStreams,
             unsigned(stats.overloadState));
     } else if (!quiet) {
         std::printf("server STATS unavailable: %s\n",
