@@ -11,8 +11,8 @@
 // The AVX2 kernels are compiled with per-function target attributes
 // (no global -mavx2), so the same binary carries both code paths and
 // cpu::hasAvx2() picks one at backend construction.  Non-x86 builds
-// compile only the scalar paths; "blocked" and the *-avx2 backend
-// names still exist there and simply always run scalar.
+// compile only the scalar paths; "blocked" and "int8" simply always
+// run scalar there.
 #if (defined(__GNUC__) || defined(__clang__)) && \
     (defined(__x86_64__) || defined(__i386__))
 #define ASR_HAVE_AVX2_KERNELS 1
@@ -27,62 +27,11 @@ std::string_view
 backendName(BackendKind kind)
 {
     switch (kind) {
-      case BackendKind::Reference:   return "reference";
-      case BackendKind::Blocked:     return "blocked";
-      case BackendKind::BlockedAvx2: return "blocked-avx2";
-      case BackendKind::Int8:        return "int8";
-      case BackendKind::Int8Avx2:    return "int8-avx2";
+      case BackendKind::Reference: return "reference";
+      case BackendKind::Blocked:   return "blocked";
+      case BackendKind::Int8:      return "int8";
     }
     panic("unknown backend kind %d", int(kind));
-}
-
-BackendKind
-backendKindFromName(std::string_view name)
-{
-    BackendKind kind;
-    if (tryBackendKindFromName(name, kind))
-        return kind;
-    fatal("%s", unknownBackendMessage(name).c_str());
-}
-
-std::string
-unknownBackendMessage(std::string_view name)
-{
-    std::string msg = "unknown acoustic backend '";
-    msg += name;
-    msg += "' (registered:";
-    for (const std::string_view n : acousticBackendNames()) {
-        msg += ' ';
-        msg += n;
-    }
-    msg += ')';
-    return msg;
-}
-
-bool
-tryBackendKindFromName(std::string_view name, BackendKind &kind)
-{
-    for (const BackendKind k : {BackendKind::Reference,
-                                BackendKind::Blocked,
-                                BackendKind::BlockedAvx2,
-                                BackendKind::Int8,
-                                BackendKind::Int8Avx2}) {
-        if (name == backendName(k)) {
-            kind = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::vector<std::string_view>
-acousticBackendNames()
-{
-    return {backendName(BackendKind::Reference),
-            backendName(BackendKind::Blocked),
-            backendName(BackendKind::BlockedAvx2),
-            backendName(BackendKind::Int8),
-            backendName(BackendKind::Int8Avx2)};
 }
 
 namespace {
@@ -291,48 +240,13 @@ dotRowsAvx2(const float *ASR_RESTRICT x, std::size_t in,
 }
 
 /**
- * dotRowsAvx2 with one fused multiply-add per step (blocked-avx2):
- * same loads, order and accumulators, but each step rounds once, so
- * the sums differ from the bit-identity contract by the FMA rounding
- * delta.  A separate function because the target attribute is per
- * function and the exact kernel must not carry "fma".
+ * gemmPanel's contract over the row-blocked AVX2 kernel: rows
+ * [r0, r1) go kRegRows at a time through dotRowsAvx2<kRegRows>, the
+ * leftover rows (and scoreFrame's single row) one at a time through
+ * dotRowsAvx2<1>, and the bias is added after each full sum.  Every
+ * row's outputs depend only on that row, so a frame scores the same
+ * in any batch.
  */
-template <std::size_t Rows>
-__attribute__((target("avx2,fma"))) void
-dotRowsFma(const float *ASR_RESTRICT x, std::size_t in,
-           const float *ASR_RESTRICT panel, float *ASR_RESTRICT acc)
-{
-    static_assert(kTile == 32, "kernel hard-codes four 8-lane vectors");
-    __m256 sum[Rows][4] = {};
-    for (std::size_t k = 0; k < in; ++k) {
-        const float *ASR_RESTRICT p = panel + k * kTile;
-        const __m256 w[4] = {_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8),
-                             _mm256_loadu_ps(p + 16),
-                             _mm256_loadu_ps(p + 24)};
-        for (std::size_t r = 0; r < Rows; ++r) {
-            const __m256 xv = _mm256_set1_ps(x[r * in + k]);
-            for (std::size_t v = 0; v < 4; ++v)
-                sum[r][v] = _mm256_fmadd_ps(xv, w[v], sum[r][v]);
-        }
-    }
-    for (std::size_t r = 0; r < Rows; ++r)
-        for (std::size_t v = 0; v < 4; ++v)
-            _mm256_storeu_ps(acc + r * kTile + 8 * v, sum[r][v]);
-}
-
-/** Signature of dotRowsAvx2 / dotRowsFma instances. */
-using DotKernel = void (*)(const float *ASR_RESTRICT, std::size_t,
-                           const float *ASR_RESTRICT,
-                           float *ASR_RESTRICT);
-
-/**
- * gemmPanel's contract over a row-blocked dot kernel: rows [r0, r1)
- * go kRegRows at a time through DotRows, the leftover rows (and
- * scoreFrame's single row) one at a time through DotRow, and the bias
- * is added after each full sum.  Every row's outputs depend only on
- * that row, so a frame scores the same in any batch.
- */
-template <DotKernel DotRows, DotKernel DotRow>
 void
 panelRows(const float *ASR_RESTRICT xd, std::size_t in,
           const float *ASR_RESTRICT panel, const float *ASR_RESTRICT bias,
@@ -349,11 +263,11 @@ panelRows(const float *ASR_RESTRICT xd, std::size_t in,
     };
     std::size_t r = r0;
     for (; r + kRegRows <= r1; r += kRegRows) {
-        DotRows(xd + r * in, in, panel, acc);
+        dotRowsAvx2<kRegRows>(xd + r * in, in, panel, acc);
         store(r, kRegRows);
     }
     for (; r < r1; ++r) {
-        DotRow(xd + r * in, in, panel, acc);
+        dotRowsAvx2<1>(xd + r * in, in, panel, acc);
         store(r, 1);
     }
 }
@@ -362,19 +276,14 @@ panelRows(const float *ASR_RESTRICT xd, std::size_t in,
 
 /**
  * The panel kernel cpu::hasAvx2() resolves to right now: the
- * row-blocked AVX2 loop with the exact step (@p fused false) or the
- * FMA step, else the scalar gemmPanel.
+ * row-blocked AVX2 loop, else the scalar gemmPanel.
  */
 PanelKernel
-pickPanelKernel(bool fused)
+pickPanelKernel()
 {
 #if ASR_HAVE_AVX2_KERNELS
     if (cpu::hasAvx2())
-        return fused ? &panelRows<&dotRowsFma<kRegRows>, &dotRowsFma<1>>
-                     : &panelRows<&dotRowsAvx2<kRegRows>,
-                                  &dotRowsAvx2<1>>;
-#else
-    (void)fused;
+        return &panelRows;
 #endif
     return &gemmPanel;
 }
@@ -401,17 +310,30 @@ gemmPacked(const Matrix &x, const PackedLayer &layer, Matrix &y,
 }
 
 /**
- * Shared implementation of the packed-layout float backends; the
- * concrete classes pick the panel kernel (and with it the identity
- * guarantee) at construction.
+ * The default float backend: the row-blocked AVX2 kernel when
+ * cpu::hasAvx2() at construction, else scalar gemmPanel.
+ * Bit-identical to reference either way.
  */
-class PackedFloatBackend : public Backend
+class BlockedBackend final : public Backend
 {
   public:
+    explicit BlockedBackend(const Dnn &dnn)
+        : Backend(dnn.config().inputDim, dnn.config().outputDim),
+          kernel(pickPanelKernel()), macs(dnn.macsPerFrame()),
+          weightBytes(parameterBytes(dnn, sizeof(float), 0))
+    {
+        for (std::size_t l = 0; l < dnn.numLayers(); ++l)
+            layers.push_back(packLayer(dnn.layerWeights(l),
+                                       dnn.layerBias(l)));
+    }
+
+    BackendKind kind() const override { return BackendKind::Blocked; }
+    bool bitIdenticalToReference() const override { return true; }
+
     std::string_view
     isa() const override
     {
-        return simd() ? "avx2" : "scalar";
+        return kernel != &gemmPanel ? "avx2" : "scalar";
     }
 
     Matrix
@@ -484,20 +406,6 @@ class PackedFloatBackend : public Backend
         return weightBytes;
     }
 
-  protected:
-    PackedFloatBackend(const Dnn &dnn, PanelKernel kernel_fn)
-        : Backend(dnn.config().inputDim, dnn.config().outputDim),
-          kernel(kernel_fn), macs(dnn.macsPerFrame()),
-          weightBytes(parameterBytes(dnn, sizeof(float), 0))
-    {
-        for (std::size_t l = 0; l < dnn.numLayers(); ++l)
-            layers.push_back(packLayer(dnn.layerWeights(l),
-                                       dnn.layerBias(l)));
-    }
-
-    /** True when construction resolved an AVX2 kernel. */
-    bool simd() const { return kernel != &gemmPanel; }
-
   private:
     std::vector<PackedLayer> layers;
     PanelKernel kernel;
@@ -505,56 +413,29 @@ class PackedFloatBackend : public Backend
     std::uint64_t weightBytes;
 };
 
-/**
- * The default float backend: the row-blocked AVX2 kernel with the
- * exact step when cpu::hasAvx2(), else scalar gemmPanel.  Bit-identical
- * to reference either way.
- */
-class BlockedBackend final : public PackedFloatBackend
-{
-  public:
-    explicit BlockedBackend(const Dnn &dnn)
-        : PackedFloatBackend(dnn, pickPanelKernel(/*fused=*/false))
-    {
-    }
-
-    BackendKind kind() const override { return BackendKind::Blocked; }
-    bool bitIdenticalToReference() const override { return true; }
-};
-
-/**
- * AVX2+FMA float backend: blocked's row-blocked loop with the fused
- * step.  Bit-identical to reference only when it had to fall back to
- * the scalar kernel; with SIMD active, FMA's single rounding per step
- * voids the contract (error-bound tested).
- */
-class BlockedAvx2Backend final : public PackedFloatBackend
-{
-  public:
-    explicit BlockedAvx2Backend(const Dnn &dnn)
-        : PackedFloatBackend(dnn, pickPanelKernel(/*fused=*/true))
-    {
-    }
-
-    BackendKind
-    kind() const override
-    {
-        return BackendKind::BlockedAvx2;
-    }
-    bool bitIdenticalToReference() const override { return !simd(); }
-};
-
 // ---------------------------------------------------------------------------
-// Int8 backends: per-output-channel weight quantization, dynamic
+// Int8 backend: per-output-channel weight quantization, dynamic
 // per-frame activation quantization, int32 accumulation.
 // ---------------------------------------------------------------------------
 
+/** Input values one k-group holds: the 4 bytes a maddubs pair-sum
+ *  consumes per output lane. */
+constexpr std::size_t kGroup = 4;
+
+/**
+ * One layer quantized for the int8 kernels: output channels grouped
+ * into tiles of kTile; within a tile, per k-group of kGroup inputs,
+ * per lane, the kGroup consecutive k weights -- so one 32-byte load
+ * covers 8 lanes x 4 k-values, matching maddubs's pairwise byte
+ * layout.  k beyond @c in pads with zero (contributes 0).
+ */
 struct QuantLayer
 {
     std::size_t in = 0;
     std::size_t out = 0;
+    std::size_t groups = 0;           //!< ceil(in / kGroup)
     std::size_t tiles = 0;
-    std::vector<std::int8_t> packed;  //!< tiles x in x kTile
+    std::vector<std::int8_t> packed;  //!< tiles x groups x kTile x kGroup
     std::vector<float> scale;         //!< per-output-channel weight scale
     std::vector<float> bias;
 };
@@ -565,8 +446,9 @@ quantizeLayer(const Matrix &weights, std::span<const float> bias)
     QuantLayer layer;
     layer.in = weights.cols();
     layer.out = weights.rows();
+    layer.groups = (layer.in + kGroup - 1) / kGroup;
     layer.tiles = (layer.out + kTile - 1) / kTile;
-    layer.packed.assign(layer.tiles * layer.in * kTile, 0);
+    layer.packed.assign(layer.tiles * layer.groups * kTile * kGroup, 0);
     layer.scale.assign(layer.out, 1.0f);
     layer.bias.assign(bias.begin(), bias.end());
     for (std::size_t j = 0; j < layer.out; ++j) {
@@ -577,42 +459,51 @@ quantizeLayer(const Matrix &weights, std::span<const float> bias)
         const float scale = amax > 0.0f ? amax / 127.0f : 1.0f;
         layer.scale[j] = scale;
         const std::size_t tile = j / kTile, lane = j % kTile;
-        std::int8_t *panel =
-            layer.packed.data() + tile * layer.in * kTile;
+        std::int8_t *panel = layer.packed.data() +
+                             tile * layer.groups * kTile * kGroup;
         for (std::size_t k = 0; k < layer.in; ++k) {
             const long q = std::lround(double(wrow[k]) / scale);
-            panel[k * kTile + lane] =
-                std::int8_t(std::clamp<long>(q, -127, 127));
+            panel[(k / kGroup) * kTile * kGroup + lane * kGroup +
+                  k % kGroup] = std::int8_t(std::clamp<long>(q, -127, 127));
         }
     }
     return layer;
 }
 
 /**
- * Scalar int8 tile accumulation over the lane-major packed panel:
- * acc[t] += sum_k qx[k] * panel[k][t], int32 accumulators.
+ * Scalar int8 tile accumulation over one packed panel:
+ * acc[t] += sum_k qx[k] * W[t][k], int32 accumulators, walking the
+ * group-packed layout int8PanelAvx2 reads.
  */
 void
-int8PanelScalar(const std::int8_t *ASR_RESTRICT qx, std::size_t in,
+int8PanelScalar(const std::int8_t *ASR_RESTRICT qx, std::size_t groups,
                 const std::int8_t *ASR_RESTRICT panel,
                 std::int32_t *ASR_RESTRICT acc)
 {
-    for (std::size_t k = 0; k < in; ++k) {
-        const std::int32_t xq = qx[k];
-        const std::int8_t *ASR_RESTRICT p = panel + k * kTile;
+    for (std::size_t g = 0; g < groups; ++g) {
+        const std::int8_t *ASR_RESTRICT x = qx + g * kGroup;
+        const std::int8_t *ASR_RESTRICT p = panel + g * kTile * kGroup;
         for (std::size_t t = 0; t < kTile; ++t)
-            acc[t] += xq * std::int32_t(p[t]);
+            for (std::size_t i = 0; i < kGroup; ++i)
+                acc[t] += std::int32_t(x[i]) *
+                          std::int32_t(p[t * kGroup + i]);
     }
 }
+
+/** Signature shared by int8PanelScalar and int8PanelAvx2. */
+using Int8PanelKernel = void (*)(const std::int8_t *ASR_RESTRICT,
+                                 std::size_t,
+                                 const std::int8_t *ASR_RESTRICT,
+                                 std::int32_t *ASR_RESTRICT);
 
 #if ASR_HAVE_AVX2_KERNELS
 
 /**
- * AVX2 int8 tile accumulation over the group-packed panel (see
- * packAvx2Panel).  Per k-group of 4: broadcast the 4 activation
- * bytes, then maddubs(|x|, sign(w, x)) pairs u8*s8 products into s16
- * and madd-with-ones widens to the per-lane s32 sums.  The sign
- * trick supplies maddubs's required unsigned operand while keeping
+ * AVX2 int8 tile accumulation over one group-packed panel.  Per
+ * k-group: broadcast the 4 activation bytes, then
+ * maddubs(|x|, sign(w, x)) pairs u8*s8 products into s16 and
+ * madd-with-ones widens to the per-lane s32 sums.  The sign trick
+ * supplies maddubs's required unsigned operand while keeping
  * x*w == |x| * sign(w, x); saturation cannot trigger because
  * quantization clamps both sides to +/-127 (pair sums <= 32258).
  * Integer addition is associative, so the result is bit-identical to
@@ -623,7 +514,8 @@ int8PanelAvx2(const std::int8_t *ASR_RESTRICT qx, std::size_t groups,
               const std::int8_t *ASR_RESTRICT panel,
               std::int32_t *ASR_RESTRICT acc)
 {
-    static_assert(kTile == 32, "kernel hard-codes four 8-lane vectors");
+    static_assert(kTile == 32 && kGroup == 4,
+                  "kernel hard-codes four 8-lane vectors of 4-byte groups");
     const __m256i ones = _mm256_set1_epi16(1);
     __m256i acc0 = _mm256_setzero_si256();
     __m256i acc1 = _mm256_setzero_si256();
@@ -631,10 +523,10 @@ int8PanelAvx2(const std::int8_t *ASR_RESTRICT qx, std::size_t groups,
     __m256i acc3 = _mm256_setzero_si256();
     for (std::size_t g = 0; g < groups; ++g) {
         std::int32_t raw;
-        std::memcpy(&raw, qx + g * 4, 4);
+        std::memcpy(&raw, qx + g * kGroup, kGroup);
         const __m256i xs = _mm256_set1_epi32(raw);
         const __m256i xa = _mm256_abs_epi8(xs);
-        const std::int8_t *ASR_RESTRICT p = panel + g * kTile * 4;
+        const std::int8_t *ASR_RESTRICT p = panel + g * kTile * kGroup;
         const __m256i w0 =
             _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
         const __m256i w1 = _mm256_loadu_si256(
@@ -672,46 +564,48 @@ int8PanelAvx2(const std::int8_t *ASR_RESTRICT qx, std::size_t groups,
 
 #endif // ASR_HAVE_AVX2_KERNELS
 
-/** ceil(in / 4): k-groups one AVX2 int8 panel pass consumes. */
-std::size_t
-int8KGroups(std::size_t in)
+/**
+ * The int8 tile kernel cpu::hasAvx2() resolves to right now: the
+ * maddubs loop, else the scalar int8PanelScalar.
+ */
+Int8PanelKernel
+pickInt8Kernel()
 {
-    return (in + 3) / 4;
+#if ASR_HAVE_AVX2_KERNELS
+    if (cpu::hasAvx2())
+        return &int8PanelAvx2;
+#endif
+    return &int8PanelScalar;
 }
 
 /**
- * Repack one QuantLayer panel for int8PanelAvx2: per k-group of 4,
- * per lane, the 4 consecutive k weights -- so one 32-byte load per
- * group covers 8 lanes x 4 k-values, matching maddubs's pairwise
- * byte layout.  k beyond layer.in pads with zero (contributes 0).
+ * The int8 backend.  Quantization, dequant and bias arithmetic are
+ * the same on either kernel, and the kernels differ only in how the
+ * associative int32 sum is formed, so which one runs is unobservable
+ * in the scores (tested).
  */
-std::vector<std::int8_t>
-packAvx2Panels(const QuantLayer &layer)
-{
-    const std::size_t groups = int8KGroups(layer.in);
-    std::vector<std::int8_t> out(layer.tiles * groups * kTile * 4, 0);
-    for (std::size_t tile = 0; tile < layer.tiles; ++tile) {
-        const std::int8_t *src =
-            layer.packed.data() + tile * layer.in * kTile;
-        std::int8_t *dst = out.data() + tile * groups * kTile * 4;
-        for (std::size_t k = 0; k < layer.in; ++k)
-            for (std::size_t lane = 0; lane < kTile; ++lane)
-                dst[(k / 4) * kTile * 4 + lane * 4 + k % 4] =
-                    src[k * kTile + lane];
-    }
-    return out;
-}
-
-/**
- * Shared implementation of the int8 backends; the concrete classes
- * supply the per-tile accumulation kernel.  Quantization, dequant and
- * bias arithmetic all live here, so scalar and AVX2 int8 differ only
- * in how the associative int32 sum is formed -- which makes them
- * bit-identical to each other (tested).
- */
-class Int8BackendBase : public Backend
+class Int8Backend final : public Backend
 {
   public:
+    explicit Int8Backend(const Dnn &dnn)
+        : Backend(dnn.config().inputDim, dnn.config().outputDim),
+          kernel(pickInt8Kernel()), macs(dnn.macsPerFrame()),
+          weightBytes(parameterBytes(dnn, sizeof(std::int8_t), 1))
+    {
+        for (std::size_t l = 0; l < dnn.numLayers(); ++l)
+            layers.push_back(quantizeLayer(dnn.layerWeights(l),
+                                           dnn.layerBias(l)));
+    }
+
+    BackendKind kind() const override { return BackendKind::Int8; }
+    bool bitIdenticalToReference() const override { return false; }
+
+    std::string_view
+    isa() const override
+    {
+        return kernel != &int8PanelScalar ? "avx2" : "scalar";
+    }
+
     Matrix
     scoreBatch(const Matrix &input) const override
     {
@@ -741,28 +635,6 @@ class Int8BackendBase : public Backend
     {
         return weightBytes;
     }
-
-  protected:
-    explicit Int8BackendBase(const Dnn &dnn)
-        : Backend(dnn.config().inputDim, dnn.config().outputDim),
-          macs(dnn.macsPerFrame()),
-          weightBytes(parameterBytes(dnn, sizeof(std::int8_t), 1))
-    {
-        for (std::size_t l = 0; l < dnn.numLayers(); ++l)
-            layers.push_back(quantizeLayer(dnn.layerWeights(l),
-                                           dnn.layerBias(l)));
-    }
-
-    /**
-     * acc[kTile] = int32 dot products of the quantized row @p qx
-     * (padded with zeros to a multiple of 4 entries) against tile
-     * @p tile of layer @p l.
-     */
-    virtual void accumTile(std::size_t l, std::size_t tile,
-                           const std::int8_t *qx,
-                           std::int32_t *acc) const = 0;
-
-    std::vector<QuantLayer> layers;
 
   private:
     /**
@@ -801,10 +673,10 @@ class Int8BackendBase : public Backend
                     y[j] = layer.bias[j];
             } else {
                 const float ascale = amax / 127.0f;
-                // Padded to a k-group multiple so the AVX2 kernel's
-                // 4-byte activation loads stay in bounds; the zero
-                // tail contributes nothing either way.
-                const std::size_t qn = int8KGroups(xn) * 4;
+                // Padded to whole k-groups so the kernels' group
+                // loads stay in bounds; the zero tail contributes
+                // nothing.
+                const std::size_t qn = layer.groups * kGroup;
                 if (scratch.q.size() < qn)
                     scratch.q.resize(qn);
                 for (std::size_t k = 0; k < xn; ++k) {
@@ -819,7 +691,10 @@ class Int8BackendBase : public Backend
                 for (std::size_t tile = 0; tile < layer.tiles;
                      ++tile) {
                     alignas(32) std::int32_t acc[kTile] = {};
-                    accumTile(l, tile, qx, acc);
+                    kernel(qx, layer.groups,
+                           layer.packed.data() +
+                               tile * layer.groups * kTile * kGroup,
+                           acc);
                     const std::size_t j0 = tile * kTile;
                     const std::size_t jn =
                         std::min(kTile, layer.out - j0);
@@ -840,84 +715,10 @@ class Int8BackendBase : public Backend
         logSoftmaxRow(out);
     }
 
+    std::vector<QuantLayer> layers;
+    Int8PanelKernel kernel;
     std::uint64_t macs;
     std::uint64_t weightBytes;
-};
-
-class Int8Backend final : public Int8BackendBase
-{
-  public:
-    explicit Int8Backend(const Dnn &dnn) : Int8BackendBase(dnn) {}
-
-    BackendKind kind() const override { return BackendKind::Int8; }
-    bool bitIdenticalToReference() const override { return false; }
-
-  protected:
-    void
-    accumTile(std::size_t l, std::size_t tile, const std::int8_t *qx,
-              std::int32_t *acc) const override
-    {
-        const QuantLayer &layer = layers[l];
-        int8PanelScalar(qx, layer.in,
-                        layer.packed.data() + tile * layer.in * kTile,
-                        acc);
-    }
-};
-
-/**
- * AVX2 int8 backend.  Keeps the scalar lane-major panels (fallback
- * path) and adds the group-packed panels the AVX2 kernel walks; the
- * two kernels produce identical int32 sums, so which one runs is
- * unobservable in the scores.
- */
-class Int8Avx2Backend final : public Int8BackendBase
-{
-  public:
-    explicit Int8Avx2Backend(const Dnn &dnn)
-        : Int8BackendBase(dnn), simd(haveAvx2Kernels() && cpu::hasAvx2())
-    {
-        if (simd)
-            for (const QuantLayer &layer : layers)
-                avxPanels.push_back(packAvx2Panels(layer));
-    }
-
-    BackendKind kind() const override { return BackendKind::Int8Avx2; }
-    bool bitIdenticalToReference() const override { return false; }
-    std::string_view
-    isa() const override
-    {
-        return simd ? "avx2" : "scalar";
-    }
-
-  protected:
-    void
-    accumTile(std::size_t l, std::size_t tile, const std::int8_t *qx,
-              std::int32_t *acc) const override
-    {
-        const QuantLayer &layer = layers[l];
-#if ASR_HAVE_AVX2_KERNELS
-        if (simd) {
-            const std::size_t groups = int8KGroups(layer.in);
-            int8PanelAvx2(qx, groups,
-                          avxPanels[l].data() + tile * groups * kTile * 4,
-                          acc);
-            return;
-        }
-#endif
-        int8PanelScalar(qx, layer.in,
-                        layer.packed.data() + tile * layer.in * kTile,
-                        acc);
-    }
-
-  private:
-    static constexpr bool
-    haveAvx2Kernels()
-    {
-        return ASR_HAVE_AVX2_KERNELS != 0;
-    }
-
-    std::vector<std::vector<std::int8_t>> avxPanels;
-    bool simd;
 };
 
 } // namespace
@@ -930,12 +731,8 @@ Backend::create(BackendKind kind, const Dnn &dnn)
         return std::make_unique<ReferenceBackend>(dnn);
       case BackendKind::Blocked:
         return std::make_unique<BlockedBackend>(dnn);
-      case BackendKind::BlockedAvx2:
-        return std::make_unique<BlockedAvx2Backend>(dnn);
       case BackendKind::Int8:
         return std::make_unique<Int8Backend>(dnn);
-      case BackendKind::Int8Avx2:
-        return std::make_unique<Int8Avx2Backend>(dnn);
     }
     panic("unknown backend kind %d", int(kind));
 }

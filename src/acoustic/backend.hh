@@ -12,36 +12,26 @@
  * streaming-frame entry point (one spliced row, zero steady-state
  * allocation, what a live session uses between batch ticks).
  *
- * Five implementations:
- *  - Reference:   the naive matmulTransposed path the DNN trains
- *    with; the correctness oracle every other backend is measured
- *    against.
- *  - Blocked:     the same arithmetic over weights repacked at
+ * Three implementations, each with one kernel dispatch decided at
+ * construction (common/cpuinfo.hh; isa() reports the choice):
+ *  - Reference: the naive matmulTransposed path the DNN trains with;
+ *    the correctness oracle every other backend is measured against.
+ *  - Blocked:   the same arithmetic over weights repacked at
  *    construction into SIMD-friendly column tiles, row-blocked for
- *    cache reuse.  On an AVX2 host (common/cpuinfo.hh) a register-
- *    blocked kernel loads each 8-lane weight slice once per k and
- *    reuses it across three input rows, with a separate multiply and
- *    add per step; elsewhere a compiler-vectorized scalar loop.
- *    Bit-identical to Reference on both paths (see below) and the
- *    default in pipeline::AsrModel.
- *  - BlockedAvx2: Blocked's row-blocked AVX2 loop with a fused
- *    multiply-add per step.  FMA rounds each multiply-add once, so
- *    this backend is NOT bitwise against Reference; it is validated
- *    by the error-bound harness instead (same ascending-k order, so
- *    the error is the FMA rounding delta only).  Falls back to the
- *    scalar Blocked kernel -- and full bit-identity -- when the host
- *    lacks AVX2/FMA.
- *  - Int8:        per-output-channel symmetric weight quantization
+ *    cache reuse.  On an AVX2 host a register-blocked kernel loads
+ *    each 8-lane weight slice once per k and reuses it across three
+ *    input rows, with a separate multiply and add per step; elsewhere
+ *    a compiler-vectorized scalar loop.  Bit-identical to Reference
+ *    on both kernels (see below) and the default in
+ *    pipeline::AsrModel.
+ *  - Int8:      per-output-channel symmetric weight quantization
  *    with dynamic per-frame activation quantization; 4x smaller
  *    weight traffic (the gpu:: analytical models read the byte
- *    counts).  Validated by bounded score error and WER delta, not
- *    bitwise.
- *  - Int8Avx2:    the Int8 quantization scheme driven by an AVX2
- *    maddubs/madd int32-accumulation kernel.  Integer addition is
- *    associative, so this backend is bit-identical to the scalar
- *    Int8 backend (asserted in tests) -- and therefore covered by
- *    the same score-bound + WER-delta validation.  Scalar fallback
- *    as above.
+ *    counts).  On an AVX2 host a maddubs/madd kernel forms the int32
+ *    sums, elsewhere a scalar loop over the same packed weights;
+ *    integer addition is associative, so both kernels give the same
+ *    bits (asserted in tests).  Validated by bounded score error and
+ *    WER delta against Reference, not bitwise.
  *
  * Bit-identity contract (float paths)
  * -----------------------------------
@@ -67,7 +57,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -79,38 +68,13 @@ namespace asr::acoustic {
 /** The available scoring implementations. */
 enum class BackendKind
 {
-    Reference,    //!< naive float GEMM (the training-time path)
-    Blocked,      //!< packed-tile float GEMM, exact AVX2 or scalar kernel
-    BlockedAvx2,  //!< Blocked layout, AVX2+FMA kernel (scalar fallback)
-    Int8,         //!< int8 weight-quantized GEMM
-    Int8Avx2,     //!< Int8 scheme, AVX2 maddubs kernel (scalar fallback)
+    Reference,  //!< naive float GEMM (the training-time path)
+    Blocked,    //!< packed-tile float GEMM, exact AVX2 or scalar kernel
+    Int8,       //!< int8 weight-quantized GEMM, AVX2 or scalar kernel
 };
 
-/**
- * Stable lower-case name ("reference", "blocked", "blocked-avx2",
- * "int8", "int8-avx2").
- */
+/** Stable lower-case name ("reference", "blocked", "int8"). */
 std::string_view backendName(BackendKind kind);
-
-/** Inverse of backendName; fatal on an unknown name. */
-BackendKind backendKindFromName(std::string_view name);
-
-/**
- * Non-fatal variant of backendKindFromName for config validation.
- * @return false when @p name is unknown (@p kind untouched)
- */
-bool tryBackendKindFromName(std::string_view name, BackendKind &kind);
-
-/** The stable names, in BackendKind declaration order. */
-std::vector<std::string_view> acousticBackendNames();
-
-/**
- * Diagnostic for an unresolvable @p name, listing the known backends
- * -- the one message every entry point (backendKindFromName,
- * api::EngineOptions::validate) reports so a typo always shows the
- * valid choices.
- */
-std::string unknownBackendMessage(std::string_view name);
 
 /**
  * Caller-owned scratch for the streaming-frame entry point.  A
@@ -138,10 +102,9 @@ class Backend
 
     /**
      * Instruction set the hot kernel actually dispatches to:
-     * "scalar", or "avx2" when an explicitly vectorized backend
-     * resolved cpu::hasAvx2() at construction.  Diagnostics and
-     * bench JSON; never affects results beyond the documented
-     * backend bounds.
+     * "scalar", or "avx2" when blocked or int8 resolved
+     * cpu::hasAvx2() at construction.  Diagnostics and bench JSON;
+     * never affects results.
      */
     virtual std::string_view isa() const { return "scalar"; }
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "acoustic/backend.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
-#include "frontend/vad.hh"
 #include "search/backend.hh"
 
 namespace asr::api {
@@ -22,11 +20,6 @@ EngineOptions::validate() const
     const std::string_view name = effectiveSearchBackend();
     if (!search::isBackendRegistered(name))
         return search::unknownBackendMessage(name);
-    if (!acousticBackend.empty()) {
-        acoustic::BackendKind kind;
-        if (!acoustic::tryBackendKindFromName(acousticBackend, kind))
-            return acoustic::unknownBackendMessage(acousticBackend);
-    }
     return std::string();
 }
 
@@ -41,11 +34,7 @@ buildModel(const wfst::Wfst &net,
     const std::string err = opts.validate();
     if (!err.empty())
         fatal("%s", err.c_str());
-    pipeline::AsrSystemConfig cfg = model_cfg;
-    if (!opts.acousticBackend.empty())
-        cfg.acousticBackend =
-            acoustic::backendKindFromName(opts.acousticBackend);
-    return std::make_unique<pipeline::AsrModel>(net, cfg);
+    return std::make_unique<pipeline::AsrModel>(net, model_cfg);
 }
 
 } // namespace
@@ -196,14 +185,6 @@ Engine::open(const StreamOptions &options, OpenStatus &status)
     // capacity, it is *permanent* for these options -- retrying the
     // same open() can never succeed -- which is what
     // OpenStatus::InvalidOptions tells an embedding server.
-    if (options.autoEndpoint &&
-        !vad::isDetectorRegistered(options.endpoint.detector)) {
-        warn("cannot open auto-endpointed stream: %s",
-             vad::unknownDetectorMessage(options.endpoint.detector)
-                 .c_str());
-        status = OpenStatus::InvalidOptions;
-        return h;
-    }
     if (!options.wakeWord.empty() && !options.autoEndpoint) {
         warn("cannot open live stream: StreamOptions::wakeWord "
              "requires autoEndpoint (the gate feeds the endpointer)");

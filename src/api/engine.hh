@@ -102,9 +102,10 @@ class Engine : public StreamEndpoint
 {
   public:
     /**
-     * Build the engine's own model over @p net (trains the acoustic
-     * model, a few seconds at demo scale), honouring
-     * @p opts.acousticBackend when set, then start the coordinator.
+     * Build the engine's own model over @p net from @p model_cfg as
+     * given (trains the acoustic model, a few seconds at demo scale;
+     * model_cfg.acousticBackend picks the scoring backend), then
+     * start the coordinator.
      */
     Engine(const wfst::Wfst &net,
            const pipeline::AsrSystemConfig &model_cfg,

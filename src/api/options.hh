@@ -89,19 +89,11 @@ struct EngineOptions : server::SessionKnobs
     std::size_t retiredHandleCap = 1024;
 
     /**
-     * Acoustic scoring backend name ("reference", "blocked", "int8");
-     * empty keeps the model's configured backend.  Only consulted by
-     * the model-building constructor -- an engine over an existing
-     * AsrModel scores through whatever backend that model owns.
-     */
-    std::string acousticBackend;
-
-    /**
-     * Validate the options: the search backend name must be in the
-     * search::Backend registry and the acoustic backend name (when
-     * set) must be a known acoustic::BackendKind.
+     * Validate the options: the search backend name must be one of
+     * the built-in search::Backend names.  (The acoustic backend is
+     * the model's: pipeline::AsrSystemConfig::acousticBackend.)
      * @return empty string when valid, else a diagnostic listing the
-     *         registered backend names
+     *         built-in search backend names
      */
     std::string validate() const;
 };

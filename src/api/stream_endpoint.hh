@@ -80,9 +80,9 @@ enum class StreamState
  *    coordinator slot each) is reached right now; the same open()
  *    succeeds once a stream finishes or is cancelled.  A server maps
  *    this to a protocol-level RETRY_AFTER.
- *  - InvalidOptions is *permanent* for these options: an unknown
- *    vad::Detector name, or wakeWord without autoEndpoint.  Retrying
- *    cannot help; a server maps this to a hard ERROR.
+ *  - InvalidOptions is *permanent* for these options: wakeWord
+ *    without autoEndpoint.  Retrying cannot help; a server maps this
+ *    to a hard ERROR.
  */
 enum class OpenStatus
 {
@@ -126,15 +126,13 @@ struct StreamOptions
      * resolves to the last segment's result (or an empty decode when
      * no speech was ever detected).  Segment results are
      * bit-identical to a manual decode of the same sample range --
-     * see docs/ARCHITECTURE.md "Always-on pipeline".
-     *
-     * open() rejects the stream (invalid handle, with a warn()
-     * diagnostic) when endpoint.detector names no registered
-     * vad::Detector.
+     * see docs/ARCHITECTURE.md "Always-on pipeline".  Frames are
+     * classified by vad::Detector, the energy + zero-crossing
+     * detector.
      */
     bool autoEndpoint = false;
 
-    /** Segmentation knobs (detector name, onset/hangover frames). */
+    /** Segmentation knobs (VAD thresholds, onset/hangover frames). */
     frontend::EndpointerConfig endpoint;
 
     /**

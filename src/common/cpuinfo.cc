@@ -16,8 +16,7 @@ probeAvx2()
 {
 #if (defined(__GNUC__) || defined(__clang__)) && \
     (defined(__x86_64__) || defined(__i386__))
-    return __builtin_cpu_supports("avx2") &&
-           __builtin_cpu_supports("fma");
+    return __builtin_cpu_supports("avx2");
 #else
     return false;
 #endif
@@ -70,7 +69,7 @@ clearForceScalarForTest()
 std::string_view
 simdLevel()
 {
-    return hasAvx2() ? "avx2+fma" : "scalar";
+    return hasAvx2() ? "avx2" : "scalar";
 }
 
 } // namespace asr::cpu

@@ -2,14 +2,13 @@
  * @file
  * Runtime CPU-feature detection for the SIMD kernel dispatch.
  *
- * The explicitly vectorized acoustic kernels ("blocked",
- * "blocked-avx2", "int8-avx2" in acoustic/backend.hh) are compiled
- * with per-function target attributes, so the binary always contains
- * both the SIMD and the scalar code paths; which one runs is decided
- * here, once, at backend construction.  A build on a non-x86 host (or
- * a run on an x86 core without AVX2/FMA) silently degrades to the
- * scalar kernels -- same results within the documented bounds, just
- * slower.
+ * The explicitly vectorized acoustic kernels ("blocked" and "int8"
+ * in acoustic/backend.hh) are compiled with per-function target
+ * attributes, so the binary always contains both the SIMD and the
+ * scalar code paths; which one runs is decided here, once, at backend
+ * construction.  A build on a non-x86 host (or a run on an x86 core
+ * without AVX2) silently degrades to the scalar kernels -- the same
+ * results, just slower.
  *
  * Two override knobs exist so the fallback path stays testable on
  * hosts that *do* have AVX2:
@@ -32,8 +31,8 @@
 namespace asr::cpu {
 
 /**
- * True when the running CPU supports AVX2 *and* FMA and SIMD has not
- * been forced off (env ASR_FORCE_SCALAR / setForceScalarForTest).
+ * True when the running CPU supports AVX2 and SIMD has not been
+ * forced off (env ASR_FORCE_SCALAR / setForceScalarForTest).
  * This is the one predicate every SIMD kernel dispatch consults.
  */
 bool hasAvx2();
@@ -54,7 +53,10 @@ void setForceScalarForTest(bool force);
 /** Clear the test override, falling back to the environment. */
 void clearForceScalarForTest();
 
-/** "avx2+fma" when hasAvx2(), else "scalar" (diagnostics, bench JSON). */
+/**
+ * "avx2" when hasAvx2(), else "scalar" -- the word
+ * acoustic::Backend::isa() reports (diagnostics, bench JSON).
+ */
 std::string_view simdLevel();
 
 } // namespace asr::cpu

@@ -15,15 +15,13 @@ namespace asr::frontend {
 
 Endpointer::Endpointer(const EndpointerConfig &config)
     : cfg(config),
-      detector(vad::createDetector(cfg.detector, cfg.vad))
+      detector(cfg.vad)
 {
     ASR_ASSERT(cfg.sampleRate >= 100, "sample rate too low to frame");
     ASR_ASSERT(cfg.onsetFrames >= 1, "onset needs at least one frame");
     ASR_ASSERT(cfg.hangoverFrames >= 1,
                "endpoint needs at least one trailing-silence frame");
 }
-
-Endpointer::~Endpointer() = default;
 
 void
 Endpointer::push(std::span<const float> samples)
@@ -78,7 +76,7 @@ Endpointer::classifyFrame(std::span<const float> frame)
 {
     const std::uint64_t f = framesSeen;
     const std::size_t fs = cfg.frameSamples();
-    const bool raw = detector->classify(frame);
+    const bool raw = detector.classify(frame);
 
     if (!speaking) {
         preroll.emplace_back(frame.begin(), frame.end());

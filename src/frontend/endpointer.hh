@@ -40,9 +40,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "frontend/audio.hh"
@@ -54,10 +52,7 @@ namespace asr::frontend {
 /** Endpointer knobs (frame-rate quantities are 10 ms frames). */
 struct EndpointerConfig
 {
-    /** vad::Detector registry name classifying the frames. */
-    std::string detector = "energy";
-
-    /** Detector knobs. */
+    /** Knobs of the vad::Detector classifying the frames. */
     vad::VadConfig vad;
 
     std::uint32_t sampleRate = 16000;
@@ -112,7 +107,6 @@ class Endpointer
 {
   public:
     explicit Endpointer(const EndpointerConfig &cfg);
-    ~Endpointer();
 
     /** Feed the next chunk (any size); may append events. */
     void push(std::span<const float> samples);
@@ -146,7 +140,7 @@ class Endpointer
     void closeSegment(std::uint64_t end_frame);
 
     EndpointerConfig cfg;
-    std::unique_ptr<vad::Detector> detector;
+    vad::Detector detector;
     std::deque<EndpointEvent> events;
 
     /** Partial-frame assembly buffer (< frameSamples samples). */

@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
-#include <utility>
-
-#include "common/logging.hh"
 
 namespace asr::vad {
 
@@ -34,165 +29,40 @@ frameZeroCrossRate(std::span<const float> frame)
     return float(crossings) / float(frame.size() - 1);
 }
 
-namespace {
-
-/**
- * The built-in energy + zero-crossing detector.  Raw per-frame rule:
- *
- *   speech :=  energy > floor + energyThresholdDb
- *           || (zcr > zcrThreshold
- *               && energy > floor + zcrEnergyMarginDb)
- *
- * gated by the absolute floor, where `floor` is an adaptive noise
- * estimate (instant attack downward, slow dB/frame release upward).
- * The published decision holds for hangoverFrames past the last raw
- * hit.
- */
-class EnergyZcDetector final : public Detector
+bool
+Detector::classify(std::span<const float> frame)
 {
-  public:
-    explicit EnergyZcDetector(const VadConfig &config)
-        : cfg(config)
-    {
+    const float energy = frameEnergyDb(frame);
+    const float zcr = frameZeroCrossRate(frame);
+
+    if (!floorSeeded) {
+        noiseFloorDb = energy;
+        floorSeeded = true;
+    } else if (energy < noiseFloorDb) {
+        noiseFloorDb = energy;  // instant attack downward
+    } else {
+        noiseFloorDb += cfg.noiseRiseDbPerFrame;
     }
 
-    std::string_view name() const override { return "energy"; }
+    const bool loud = energy > noiseFloorDb + cfg.energyThresholdDb;
+    const bool fricative =
+        zcr > cfg.zcrThreshold &&
+        energy > noiseFloorDb + cfg.zcrEnergyMarginDb;
+    const bool raw = energy > cfg.absoluteFloorDb && (loud || fricative);
 
-    bool
-    classify(std::span<const float> frame) override
-    {
-        const float energy = frameEnergyDb(frame);
-        const float zcr = frameZeroCrossRate(frame);
-
-        if (!floorSeeded) {
-            noiseFloorDb = energy;
-            floorSeeded = true;
-        } else if (energy < noiseFloorDb) {
-            noiseFloorDb = energy;  // instant attack downward
-        } else {
-            noiseFloorDb += cfg.noiseRiseDbPerFrame;
-        }
-
-        const bool loud =
-            energy > noiseFloorDb + cfg.energyThresholdDb;
-        const bool fricative =
-            zcr > cfg.zcrThreshold &&
-            energy > noiseFloorDb + cfg.zcrEnergyMarginDb;
-        const bool raw = energy > cfg.absoluteFloorDb &&
-                         (loud || fricative);
-
-        if (raw)
-            hold = cfg.hangoverFrames + 1;
-        else if (hold > 0)
-            --hold;
-        return hold > 0;
-    }
-
-    void
-    reset() override
-    {
-        floorSeeded = false;
-        noiseFloorDb = 0.0f;
-        hold = 0;
-    }
-
-  private:
-    VadConfig cfg;
-    bool floorSeeded = false;
-    float noiseFloorDb = 0.0f;
-    unsigned hold = 0;  //!< frames of speech decision remaining
-};
-
-struct Registry
-{
-    std::mutex mu;
-    // Ordered so registeredDetectorNames() (and every unknown-name
-    // diagnostic) lists names deterministically.
-    std::map<std::string, DetectorFactory, std::less<>> factories;
-};
-
-Registry &
-registry()
-{
-    static Registry r;
-    static std::once_flag seeded;
-    std::call_once(seeded, [] {
-        r.factories["energy"] = [](const VadConfig &cfg) {
-            return std::unique_ptr<Detector>(
-                new EnergyZcDetector(cfg));
-        };
-    });
-    return r;
+    if (raw)
+        hold = cfg.hangoverFrames + 1;
+    else if (hold > 0)
+        --hold;
+    return hold > 0;
 }
-
-} // namespace
 
 void
-registerDetector(std::string name, DetectorFactory factory)
+Detector::reset()
 {
-    ASR_ASSERT(!name.empty(), "detector name must be non-empty");
-    ASR_ASSERT(factory != nullptr, "detector factory must be callable");
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    r.factories[std::move(name)] = std::move(factory);
-}
-
-std::vector<std::string>
-registeredDetectorNames()
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    std::vector<std::string> names;
-    names.reserve(r.factories.size());
-    for (const auto &[name, factory] : r.factories)
-        names.push_back(name);
-    return names;
-}
-
-bool
-isDetectorRegistered(std::string_view name)
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return r.factories.find(name) != r.factories.end();
-}
-
-std::string
-unknownDetectorMessage(std::string_view name)
-{
-    std::string msg = "unknown VAD detector '";
-    msg += name;
-    msg += "'; registered detectors:";
-    for (const std::string &n : registeredDetectorNames()) {
-        msg += " '";
-        msg += n;
-        msg += "'";
-    }
-    return msg;
-}
-
-std::unique_ptr<Detector>
-tryCreateDetector(std::string_view name, const VadConfig &cfg)
-{
-    DetectorFactory factory;
-    {
-        Registry &r = registry();
-        std::lock_guard<std::mutex> lock(r.mu);
-        const auto it = r.factories.find(name);
-        if (it == r.factories.end())
-            return nullptr;
-        factory = it->second;
-    }
-    return factory(cfg);
-}
-
-std::unique_ptr<Detector>
-createDetector(std::string_view name, const VadConfig &cfg)
-{
-    std::unique_ptr<Detector> detector = tryCreateDetector(name, cfg);
-    if (!detector)
-        fatal("%s", unknownDetectorMessage(name).c_str());
-    return detector;
+    floorSeeded = false;
+    noiseFloorDb = 0.0f;
+    hold = 0;
 }
 
 } // namespace asr::vad

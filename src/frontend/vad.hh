@@ -4,19 +4,12 @@
  * pipeline (VAD -> wake-word gate -> endpointer -> engine stream).
  *
  * A vad::Detector classifies one 10 ms frame of raw samples at a time
- * as speech or non-speech.  Detectors are stateful (noise-floor
- * tracking, hangover) and are selected by name from a string-keyed
- * registry mirroring search::Backend / acoustic::Backend, so a
- * tiny-DNN variant can register later without touching any caller:
- * the frontend::Endpointer, the api::Engine and the corpus suite all
- * carry one string knob.
- *
- * Built-in detector:
- *  - "energy"  frame log-energy against an adaptive noise floor,
- *              plus a zero-crossing-rate path that catches unvoiced
- *              (fricative-like) frames whose energy barely clears
- *              the floor, smoothed by a hangover counter that holds
- *              the speech decision through short intra-word dips.
+ * as speech or non-speech: frame log-energy against an adaptive
+ * noise floor, plus a zero-crossing-rate path that catches unvoiced
+ * (fricative-like) frames whose energy barely clears the floor,
+ * smoothed by a hangover counter that holds the speech decision
+ * through short intra-word dips.  It is the one detector; the
+ * frontend::Endpointer owns one per stream.
  *
  * Determinism contract: classify() is a pure function of the sample
  * stream fed so far (no wall-clock, no global RNG), so identical
@@ -25,24 +18,17 @@
  * bit-identity rests on.
  *
  * Thread safety: a Detector instance is per-stream mutable state;
- * each stream owns one privately.  The registry itself is internally
- * synchronized.
+ * each stream owns one privately.
  */
 
 #ifndef ASR_FRONTEND_VAD_HH
 #define ASR_FRONTEND_VAD_HH
 
-#include <functional>
-#include <memory>
 #include <span>
-#include <string>
-#include <string_view>
-#include <vector>
 
 namespace asr::vad {
 
-/** Knobs shared by the built-in detectors (DNN variants may ignore
- *  most of them). */
+/** Detector knobs. */
 struct VadConfig
 {
     /** Speech needs this much energy (dB) above the noise floor. */
@@ -78,14 +64,22 @@ struct VadConfig
     float noiseRiseDbPerFrame = 0.2f;
 };
 
-/** Classifies one frame of raw audio samples at a time. */
+/**
+ * The energy + zero-crossing detector.  Raw per-frame rule:
+ *
+ *   speech :=  energy > floor + energyThresholdDb
+ *           || (zcr > zcrThreshold
+ *               && energy > floor + zcrEnergyMarginDb)
+ *
+ * gated by the absolute floor, where `floor` is an adaptive noise
+ * estimate (instant attack downward, slow dB/frame release upward).
+ * The published decision holds for hangoverFrames past the last raw
+ * hit.
+ */
 class Detector
 {
   public:
-    virtual ~Detector() = default;
-
-    /** The registry name this detector was created under. */
-    virtual std::string_view name() const = 0;
+    explicit Detector(const VadConfig &config) : cfg(config) {}
 
     /**
      * Classify the next 10 ms frame (any frame length >= 1; the
@@ -93,49 +87,17 @@ class Detector
      * depend on every frame fed since the last reset().
      * @return true when the frame is speech
      */
-    virtual bool classify(std::span<const float> frame) = 0;
+    bool classify(std::span<const float> frame);
 
     /** Forget all adaptation; the next frame starts a new stream. */
-    virtual void reset() = 0;
+    void reset();
+
+  private:
+    VadConfig cfg;
+    bool floorSeeded = false;
+    float noiseFloorDb = 0.0f;
+    unsigned hold = 0;  //!< frames of speech decision remaining
 };
-
-// ---------------------------------------------------------------------------
-// Registry (string-keyed factories, mirroring search::Backend).
-// ---------------------------------------------------------------------------
-
-/** Builds a detector with @p cfg. */
-using DetectorFactory =
-    std::function<std::unique_ptr<Detector>(const VadConfig &cfg)>;
-
-/**
- * Register @p factory under @p name (replacing any previous entry).
- * The built-in ("energy") is registered on first registry access.
- */
-void registerDetector(std::string name, DetectorFactory factory);
-
-/** Sorted names of every registered detector. */
-std::vector<std::string> registeredDetectorNames();
-
-/** @return true when @p name resolves to a registered detector. */
-bool isDetectorRegistered(std::string_view name);
-
-/**
- * Diagnostic for an unresolvable @p name, listing the registered
- * detectors -- the one message every entry point reports so a typo
- * always shows the valid choices.
- */
-std::string unknownDetectorMessage(std::string_view name);
-
-/**
- * Create the detector registered under @p name.
- * @return nullptr when @p name is not registered
- */
-std::unique_ptr<Detector> tryCreateDetector(std::string_view name,
-                                            const VadConfig &cfg);
-
-/** As tryCreateDetector, but fatal (listing the registry) on unknown. */
-std::unique_ptr<Detector> createDetector(std::string_view name,
-                                         const VadConfig &cfg);
 
 /** Frame log-energy in dBFS (mean square over the frame, floored). */
 float frameEnergyDb(std::span<const float> frame);

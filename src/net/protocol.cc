@@ -1,6 +1,7 @@
 #include "net/protocol.hh"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 
 namespace asr::net {
@@ -171,7 +172,9 @@ decodeSamples(std::span<const std::uint8_t> payload,
     std::size_t off = 0;
     float v;
     while (off < payload.size()) {
-        if (!getF32(payload, off, v))
+        // NaN or +-Inf audio would flow through MFCC, the DNN and
+        // search and come out as a silent empty FINAL: reject it.
+        if (!getF32(payload, off, v) || !std::isfinite(v))
             return false;
         samples.push_back(v);
     }

@@ -22,9 +22,11 @@
  *            rejection with RETRY_AFTER (capacity; recoverable) or
  *            ERROR (permanent).
  *   PUSH     raw float32 samples at the model's sample rate
- *            (payload length must be a multiple of 4).  No response;
- *            errors (unknown stream, stream not open) arrive as
- *            ERROR frames.
+ *            (payload length must be a multiple of 4, every sample
+ *            finite).  No response; errors (unknown stream, stream
+ *            not open) arrive as ERROR frames.  A NaN or +-Inf
+ *            sample makes the frame malformed: ERROR BAD_FRAME, then
+ *            the connection closes.
  *   PARTIAL  poll the current partial hypothesis -> one PARTIAL.
  *   FINISH   no more audio -> one FINAL once the tail is decoded.
  *   CANCEL   abandon the stream; no response.
@@ -172,7 +174,11 @@ void appendFrame(std::vector<std::uint8_t> &out, FrameType type,
 // malformed frame, not ignorable padding, so a corrupt length field
 // cannot silently truncate or extend a result.
 
-/** PUSH payload: raw little-endian float32 samples. */
+/**
+ * PUSH payload: raw little-endian float32 samples.  decodeSamples
+ * rejects any NaN or +-Inf sample (denormals, +-0 and +-FLT_MAX are
+ * ordinary audio values).
+ */
 void encodeSamples(std::vector<std::uint8_t> &out,
                    std::span<const float> samples);
 bool decodeSamples(std::span<const std::uint8_t> payload,

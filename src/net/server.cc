@@ -542,7 +542,7 @@ Server::handlePush(Connection &conn, const Frame &frame)
     if (!decodeSamples(frame.payload, samples)) {
         ++count.malformedFrames;
         sendError(conn, frame.streamId, ErrorCode::BadFrame,
-                  "push payload is not a float32 array");
+                  "push payload is not a finite float32 array");
         conn.dead = true;
         return;
     }

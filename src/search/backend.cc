@@ -1,8 +1,6 @@
 #include "search/backend.hh"
 
-#include <map>
-#include <mutex>
-#include <utility>
+#include <algorithm>
 
 #include "accel/accelerator.hh"
 #include "common/logging.hh"
@@ -158,73 +156,58 @@ class AccelBackend final : public Backend
     std::vector<wfst::WordId> partialCache;
 };
 
-// ---------------------------------------------------------------------------
-// Registry.
-// ---------------------------------------------------------------------------
-
-struct Registry
+/** The factory of built-in backend @p B. */
+template <class B>
+std::unique_ptr<Backend>
+make(const wfst::Wfst &net, const BackendConfig &cfg)
 {
-    std::mutex mu;
-    // Ordered so registeredBackendNames() (and therefore every
-    // unknown-name diagnostic) lists names deterministically.
-    std::map<std::string, BackendFactory, std::less<>> factories;
+    return std::make_unique<B>(net, cfg);
+}
+
+/** One built-in backend: its name and how to build it. */
+struct BuiltIn
+{
+    std::string_view name;
+    std::unique_ptr<Backend> (*create)(const wfst::Wfst &,
+                                       const BackendConfig &);
 };
 
-Registry &
-registry()
+/**
+ * Every search backend, sorted by name so registeredBackendNames()
+ * (and every unknown-name diagnostic) lists them deterministically.
+ */
+constexpr BuiltIn kBuiltIns[] = {
+    {"accel", &make<AccelBackend>},
+    {"baseline", &make<BaselineBackend>},
+    {"viterbi", &make<ViterbiBackend>},
+};
+static_assert(std::ranges::is_sorted(kBuiltIns, {}, &BuiltIn::name),
+              "kBuiltIns must stay sorted by name");
+
+const BuiltIn *
+findBuiltIn(std::string_view name)
 {
-    static Registry r;
-    static std::once_flag seeded;
-    std::call_once(seeded, [] {
-        r.factories["viterbi"] =
-            [](const wfst::Wfst &net, const BackendConfig &cfg) {
-                return std::unique_ptr<Backend>(
-                    new ViterbiBackend(net, cfg));
-            };
-        r.factories["baseline"] =
-            [](const wfst::Wfst &net, const BackendConfig &cfg) {
-                return std::unique_ptr<Backend>(
-                    new BaselineBackend(net, cfg));
-            };
-        r.factories["accel"] =
-            [](const wfst::Wfst &net, const BackendConfig &cfg) {
-                return std::unique_ptr<Backend>(
-                    new AccelBackend(net, cfg));
-            };
-    });
-    return r;
+    for (const BuiltIn &b : kBuiltIns)
+        if (b.name == name)
+            return &b;
+    return nullptr;
 }
 
 } // namespace
 
-void
-registerBackend(std::string name, BackendFactory factory)
-{
-    ASR_ASSERT(!name.empty(), "backend name must be non-empty");
-    ASR_ASSERT(factory != nullptr, "backend factory must be callable");
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    r.factories[std::move(name)] = std::move(factory);
-}
-
 std::vector<std::string>
 registeredBackendNames()
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
     std::vector<std::string> names;
-    names.reserve(r.factories.size());
-    for (const auto &[name, factory] : r.factories)
-        names.push_back(name);
+    for (const BuiltIn &b : kBuiltIns)
+        names.emplace_back(b.name);
     return names;
 }
 
 bool
 isBackendRegistered(std::string_view name)
 {
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    return r.factories.find(name) != r.factories.end();
+    return findBuiltIn(name) != nullptr;
 }
 
 std::string
@@ -233,9 +216,9 @@ unknownBackendMessage(std::string_view name)
     std::string msg = "unknown search backend '";
     msg += name;
     msg += "' (registered:";
-    for (const std::string &n : registeredBackendNames()) {
+    for (const BuiltIn &b : kBuiltIns) {
         msg += ' ';
-        msg += n;
+        msg += b.name;
     }
     msg += ')';
     return msg;
@@ -245,16 +228,8 @@ std::unique_ptr<Backend>
 tryCreateBackend(std::string_view name, const wfst::Wfst &net,
                  const BackendConfig &cfg)
 {
-    BackendFactory factory;
-    {
-        Registry &r = registry();
-        std::lock_guard<std::mutex> lock(r.mu);
-        const auto it = r.factories.find(name);
-        if (it == r.factories.end())
-            return nullptr;
-        factory = it->second;
-    }
-    return factory(net, cfg);
+    const BuiltIn *b = findBuiltIn(name);
+    return b ? b->create(net, cfg) : nullptr;
 }
 
 std::unique_ptr<Backend>

@@ -7,12 +7,11 @@
  * log-likelihoods into a decoded word sequence goes through a
  * search::Backend with the streaming shape every engine already
  * speaks (streamBegin / streamFrame / streamPartial / streamFinish).
- * Backends are selected by name from a string-keyed registry, so the
- * server layer and the api::Engine carry one string knob instead of
- * a bool-per-engine and downstream users can register their own
- * implementations.
+ * Backends are selected by name from a fixed table, so the server
+ * layer and the api::Engine carry one string knob
+ * (server::SessionKnobs::searchBackend) instead of a bool-per-engine.
  *
- * Built-in backends:
+ * The backends:
  *  - "viterbi"  decoder::ViterbiDecoder -- the optimized TokenStore
  *               software search (epoch-tagged hashes, arena GC);
  *               the production CPU path and the default.
@@ -24,7 +23,7 @@
  *               cycle simulation runs per frame (results never
  *               depend on it).
  *
- * Determinism contract: every registered backend must implement the
+ * Determinism contract: every backend must implement the
  * shared search semantics of viterbi.hh (pruning rule, epsilon
  * discipline, insertion-order winner tie-break) so word sequences
  * and scores are bit-identical across backends for any beam /
@@ -34,14 +33,13 @@
  * for every backend by construction.
  *
  * Thread safety: a Backend instance is mutable per-utterance state;
- * each session owns one privately.  The registry itself is
- * internally synchronized.
+ * each session owns one privately.  The name lookups below read only
+ * the constant table and are safe from any thread.
  */
 
 #ifndef ASR_SEARCH_BACKEND_HH
 #define ASR_SEARCH_BACKEND_HH
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -78,7 +76,7 @@ class Backend
   public:
     virtual ~Backend() = default;
 
-    /** The registry name this backend was created under. */
+    /** The name this backend was created under. */
     virtual std::string_view name() const = 0;
 
     /** Start a streaming utterance (resets per-utterance state). */
@@ -123,44 +121,33 @@ class Backend
 };
 
 // ---------------------------------------------------------------------------
-// Registry (mirrors the acoustic::Backend naming scheme, but open:
-// string-keyed factories instead of a closed enum).
+// Lookup by name (a closed set, like acoustic::BackendKind, but keyed
+// by the string the session knobs carry).
 // ---------------------------------------------------------------------------
 
-/** Builds a backend over @p net with @p cfg. */
-using BackendFactory = std::function<std::unique_ptr<Backend>(
-    const wfst::Wfst &net, const BackendConfig &cfg)>;
-
-/**
- * Register @p factory under @p name (replacing any previous entry).
- * The built-ins ("viterbi", "baseline", "accel") are registered on
- * first registry access.
- */
-void registerBackend(std::string name, BackendFactory factory);
-
-/** Sorted names of every registered backend. */
+/** Sorted names of every backend: "accel", "baseline", "viterbi". */
 std::vector<std::string> registeredBackendNames();
 
-/** @return true when @p name resolves to a registered backend. */
+/** @return true when @p name is one of the backends. */
 bool isBackendRegistered(std::string_view name);
 
 /**
- * Diagnostic for an unresolvable @p name, listing the registered
- * backends -- the one error message every entry point (createBackend,
+ * Diagnostic for an unresolvable @p name, listing the backends -- the
+ * one error message every entry point (createBackend,
  * api::EngineOptions::validate) reports so a typo always shows the
  * valid choices.
  */
 std::string unknownBackendMessage(std::string_view name);
 
 /**
- * Create the backend registered under @p name.
- * @return nullptr when @p name is not registered
+ * Create the backend named @p name.
+ * @return nullptr when @p name is not a backend
  */
 std::unique_ptr<Backend> tryCreateBackend(std::string_view name,
                                           const wfst::Wfst &net,
                                           const BackendConfig &cfg);
 
-/** As tryCreateBackend, but fatal (listing the registry) on unknown. */
+/** As tryCreateBackend, but fatal (listing the names) on unknown. */
 std::unique_ptr<Backend> createBackend(std::string_view name,
                                        const wfst::Wfst &net,
                                        const BackendConfig &cfg);

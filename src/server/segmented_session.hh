@@ -70,7 +70,7 @@ struct SegmentedConfig
      *  (deferScoring must be set). */
     SessionConfig session;
 
-    /** Segmentation knobs (detector name, onset/hangover, ...). */
+    /** Segmentation knobs (VAD thresholds, onset/hangover, ...). */
     frontend::EndpointerConfig endpoint;
 
     /**

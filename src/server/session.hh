@@ -18,7 +18,7 @@
  * Sessions share one immutable pipeline::AsrModel (never mutated;
  * see model.hh for the thread-safety contract) and privately own all
  * mutable state: the streaming front-end, the search backend
- * instance (selected by name from the search::Backend registry), and
+ * instance (selected by name among the search::Backend built-ins), and
  * a deterministic per-session RNG derived from (base seed, session
  * id) so concurrent runs reproduce bit-exactly regardless of thread
  * scheduling.
@@ -55,9 +55,10 @@ namespace asr::server {
 struct SessionKnobs
 {
     /**
-     * Search backend registry name ("viterbi", "baseline", "accel",
-     * or anything registered via search::registerBackend).  Empty
-     * selects "viterbi".
+     * Search backend name, one of the built-ins of search/backend.hh:
+     * "viterbi" (the production decoder), "baseline" (the frozen
+     * oracle) or "accel" (the accelerator model).  Empty selects
+     * "viterbi".
      */
     std::string searchBackend;
 
@@ -88,7 +89,7 @@ struct SessionKnobs
      */
     std::uint64_t arenaGcWatermark = 0;
 
-    /** The registry name the knobs resolve to. */
+    /** The search backend name the knobs resolve to. */
     std::string_view
     effectiveSearchBackend() const
     {
@@ -244,7 +245,7 @@ class StreamingSession
     std::vector<float> pendingSpliced;
     std::size_t pendingRows_ = 0;
 
-    /** The search, resolved from the registry at construction. */
+    /** The search, resolved by name at construction. */
     std::unique_ptr<search::Backend> search_;
 
     double frontendSeconds = 0.0;

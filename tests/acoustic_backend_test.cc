@@ -8,12 +8,10 @@
  * of the float paths.
  *
  * The dispatch has its own contracts: blocked is bit-identical to
- * the reference on its AVX2 and scalar kernels alike; int8-avx2 must
- * be bit-identical to scalar int8 (integer addition is associative);
- * blocked-avx2 trades bitwise identity for an FMA error bound when
- * SIMD is active -- and then equals a std::fma forward pass exactly
- * -- and must degrade to the bit-identical scalar kernel when AVX2 is
- * unavailable (exercised via the test override).
+ * the reference on its AVX2 and scalar kernels alike, and int8's
+ * AVX2 kernel is bit-identical to its scalar kernel (integer addition
+ * is associative).  Both kernels of each backend are exercised in one
+ * process via the test override.
  */
 
 #include <cmath>
@@ -68,20 +66,6 @@ expectBitIdentical(const Matrix &a, const Matrix &b)
 
 } // namespace
 
-TEST(BackendNames, RoundTrip)
-{
-    for (auto kind :
-         {BackendKind::Reference, BackendKind::Blocked,
-          BackendKind::BlockedAvx2, BackendKind::Int8,
-          BackendKind::Int8Avx2})
-        EXPECT_EQ(backendKindFromName(backendName(kind)), kind);
-    EXPECT_EQ(backendKindFromName("blocked"), BackendKind::Blocked);
-    EXPECT_EQ(backendKindFromName("blocked-avx2"),
-              BackendKind::BlockedAvx2);
-    EXPECT_EQ(backendKindFromName("int8-avx2"),
-              BackendKind::Int8Avx2);
-}
-
 TEST(BackendEquivalence, BlockedMatchesReferenceBitExact)
 {
     // Shapes chosen to exercise the packed layout's tails: output
@@ -125,10 +109,8 @@ TEST(BackendEquivalence, ScoreFrameMatchesBatchRow)
 {
     const Dnn net = makeNet(21, {19, 11}, 9, 77);
     const Matrix input = randomInput(6, 21, 5);
-    for (auto kind :
-         {BackendKind::Reference, BackendKind::Blocked,
-          BackendKind::BlockedAvx2, BackendKind::Int8,
-          BackendKind::Int8Avx2}) {
+    for (auto kind : {BackendKind::Reference, BackendKind::Blocked,
+                      BackendKind::Int8}) {
         const auto backend = Backend::create(kind, net);
         const Matrix batch = backend->scoreBatch(input);
         FrameScratch scratch;
@@ -217,6 +199,11 @@ TEST(BackendCostModel, MacsAndWeightBytes)
     const auto blk = Backend::create(BackendKind::Blocked, net);
     const auto q = Backend::create(BackendKind::Int8, net);
 
+    // The stable names bench JSON and diagnostics print.
+    EXPECT_EQ(ref->name(), "reference");
+    EXPECT_EQ(blk->name(), "blocked");
+    EXPECT_EQ(q->name(), "int8");
+
     const std::uint64_t macs = 10 * 20 + 20 * 30;
     EXPECT_EQ(ref->macsPerFrame(), macs);
     EXPECT_EQ(blk->macsPerFrame(), macs);
@@ -250,110 +237,16 @@ struct ScalarOverrideGuard
     ~ScalarOverrideGuard() { cpu::clearForceScalarForTest(); }
 };
 
-/**
- * What blocked-avx2 computes when its SIMD kernel runs: every output
- * one std::fma accumulator over ascending k, then bias, ReLU between
- * layers and logSoftmaxRow, as the reference does.
- */
-Matrix
-fmaForward(const Dnn &net, const Matrix &input)
-{
-    Matrix x = input;
-    for (std::size_t l = 0; l < net.numLayers(); ++l) {
-        const Matrix &w = net.layerWeights(l);
-        Matrix y(x.rows(), w.rows());
-        for (std::size_t r = 0; r < x.rows(); ++r)
-            for (std::size_t j = 0; j < w.rows(); ++j) {
-                float acc = 0.0f;
-                for (std::size_t k = 0; k < w.cols(); ++k)
-                    acc = std::fma(x.at(r, k), w.at(j, k), acc);
-                y.at(r, j) = acc;
-            }
-        addRowBias(y, net.layerBias(l));
-        if (l + 1 < net.numLayers())
-            reluInPlace(y);
-        x = std::move(y);
-    }
-    logSoftmaxRows(x);
-    return x;
-}
-
 } // namespace
-
-TEST(BackendSimd, BlockedAvx2WithinErrorBoundOfReference)
-{
-    // FMA skips the product's rounding, so blocked-avx2 promises a
-    // bound against the reference, not identity -- on the
-    // post-log-softmax scores a handful of ULPs.  With SIMD active it
-    // must equal the std::fma forward pass exactly (same ascending-k
-    // order, one fused step per MAC, in any batch); when the host
-    // lacks AVX2 the backend reports bitIdenticalToReference() and
-    // must then match the reference exactly.
-    const Dnn net = makeNet(65, {96, 96}, 24, 4242);
-    const auto ref = Backend::create(BackendKind::Reference, net);
-    const auto avx = Backend::create(BackendKind::BlockedAvx2, net);
-    std::uint64_t seed = 900;
-    for (std::size_t batch : {1u, 3u, 5u, 17u, 33u, 64u}) {
-        const Matrix input = randomInput(batch, 65, seed++);
-        const Matrix a = ref->scoreBatch(input);
-        const Matrix b = avx->scoreBatch(input);
-        ASSERT_EQ(a.rows(), b.rows());
-        ASSERT_EQ(a.cols(), b.cols());
-        if (avx->bitIdenticalToReference()) {
-            expectBitIdentical(a, b);
-            continue;
-        }
-        expectBitIdentical(fmaForward(net, input), b);
-        for (std::size_t r = 0; r < a.rows(); ++r)
-            for (std::size_t c = 0; c < a.cols(); ++c)
-                ASSERT_NEAR(a.at(r, c), b.at(r, c), 1e-4f)
-                    << "batch " << batch << " (" << r << ", " << c
-                    << ")";
-    }
-}
-
-TEST(BackendSimd, BlockedAvx2HandlesTileTails)
-{
-    // Same tail-heavy shape sweep as the scalar blocked test: the
-    // AVX2 kernel's partial-tile store path must not read or write
-    // past the packed panel edges.
-    struct Shape
-    {
-        std::size_t in;
-        std::vector<std::size_t> hidden;
-        std::size_t out;
-    };
-    const Shape shapes[] = {
-        {5, {7}, 3},
-        {16, {16}, 8},
-        {33, {17, 9}, 13},
-        {13, {}, 5},
-    };
-    std::uint64_t seed = 3000;
-    for (const Shape &s : shapes) {
-        const Dnn net = makeNet(s.in, s.hidden, s.out, 2000 + seed);
-        const auto ref = Backend::create(BackendKind::Reference, net);
-        const auto avx =
-            Backend::create(BackendKind::BlockedAvx2, net);
-        for (std::size_t batch : {1u, 2u, 33u}) {
-            const Matrix input = randomInput(batch, s.in, seed++);
-            const Matrix a = ref->scoreBatch(input);
-            const Matrix b = avx->scoreBatch(input);
-            for (std::size_t r = 0; r < a.rows(); ++r)
-                for (std::size_t c = 0; c < a.cols(); ++c)
-                    ASSERT_NEAR(a.at(r, c), b.at(r, c), 1e-4f);
-            if (!avx->bitIdenticalToReference())
-                expectBitIdentical(fmaForward(net, input), b);
-        }
-    }
-}
 
 TEST(BackendSimd, Int8Avx2BitwiseMatchesScalarInt8)
 {
-    // Integer accumulation is associative, so the vpmaddubsw kernel
-    // must reproduce the scalar int8 scores exactly -- including on
-    // shapes whose input dim is not a multiple of the 4-wide k
-    // groups, where the packed panels are zero-padded.
+    // Integer accumulation is associative, so int8's vpmaddubsw
+    // kernel must reproduce its scalar kernel's scores exactly --
+    // including on shapes whose input dim is not a multiple of the
+    // 4-wide k groups, where the packed panels are zero-padded.  The
+    // override is read at construction, so the scalar side is built
+    // under it and the dispatched side after it is lifted.
     struct Shape
     {
         std::size_t in;
@@ -370,8 +263,13 @@ TEST(BackendSimd, Int8Avx2BitwiseMatchesScalarInt8)
     std::uint64_t seed = 5000;
     for (const Shape &s : shapes) {
         const Dnn net = makeNet(s.in, s.hidden, s.out, 4000 + seed);
-        const auto scalar = Backend::create(BackendKind::Int8, net);
-        const auto avx = Backend::create(BackendKind::Int8Avx2, net);
+        std::unique_ptr<Backend> scalar;
+        {
+            const ScalarOverrideGuard guard(true);
+            scalar = Backend::create(BackendKind::Int8, net);
+        }
+        ASSERT_EQ(scalar->isa(), "scalar");
+        const auto avx = Backend::create(BackendKind::Int8, net);
         for (std::size_t batch : {1u, 2u, 17u, 64u}) {
             const Matrix input = randomInput(batch, s.in, seed++);
             expectBitIdentical(scalar->scoreBatch(input),
@@ -382,31 +280,26 @@ TEST(BackendSimd, Int8Avx2BitwiseMatchesScalarInt8)
 
 TEST(BackendSimd, ForcedScalarFallbackIsBitIdentical)
 {
-    // With the override asserting "no AVX2", blocked and both SIMD
-    // backends must construct on the scalar kernels: blocked stays
-    // bitwise equal to the reference, blocked-avx2 regains that
-    // identity and int8-avx2 still equals scalar int8.  The override
-    // is read at construction, so the guard wraps backend creation.
+    // With the override asserting "no AVX2", blocked and int8 must
+    // construct on their scalar kernels: blocked stays bitwise equal
+    // to the reference and int8 to int8 built with SIMD allowed.
+    // The override is read at construction, so the guard wraps
+    // backend creation.
+    const Dnn net = makeNet(33, {17, 9}, 13, 808);
+    const auto dispatched = Backend::create(BackendKind::Int8, net);
     const ScalarOverrideGuard guard(true);
     ASSERT_FALSE(cpu::hasAvx2());
-    const Dnn net = makeNet(33, {17, 9}, 13, 808);
     const auto ref = Backend::create(BackendKind::Reference, net);
     const auto blk = Backend::create(BackendKind::Blocked, net);
-    const auto avx = Backend::create(BackendKind::BlockedAvx2, net);
     const auto int8 = Backend::create(BackendKind::Int8, net);
-    const auto qavx = Backend::create(BackendKind::Int8Avx2, net);
     EXPECT_EQ(blk->isa(), "scalar");
-    EXPECT_EQ(avx->isa(), "scalar");
-    EXPECT_EQ(qavx->isa(), "scalar");
+    EXPECT_EQ(int8->isa(), "scalar");
     EXPECT_TRUE(blk->bitIdenticalToReference());
-    EXPECT_TRUE(avx->bitIdenticalToReference());
     const Matrix input = randomInput(19, 33, 606);
     expectBitIdentical(ref->scoreBatch(input),
                        blk->scoreBatch(input));
-    expectBitIdentical(ref->scoreBatch(input),
-                       avx->scoreBatch(input));
-    expectBitIdentical(int8->scoreBatch(input),
-                       qavx->scoreBatch(input));
+    expectBitIdentical(dispatched->scoreBatch(input),
+                       int8->scoreBatch(input));
 }
 
 TEST(BackendSimd, IsaReportsDispatchDecision)
@@ -414,34 +307,16 @@ TEST(BackendSimd, IsaReportsDispatchDecision)
     const Dnn net = makeNet(12, {8}, 6, 99);
     const auto ref = Backend::create(BackendKind::Reference, net);
     const auto blk = Backend::create(BackendKind::Blocked, net);
-    const auto avx = Backend::create(BackendKind::BlockedAvx2, net);
-    const auto qavx = Backend::create(BackendKind::Int8Avx2, net);
+    const auto q = Backend::create(BackendKind::Int8, net);
     EXPECT_EQ(ref->isa(), "scalar");
     const std::string_view expect =
         cpu::hasAvx2() ? "avx2" : "scalar";
     EXPECT_EQ(blk->isa(), expect);
-    EXPECT_EQ(avx->isa(), expect);
-    EXPECT_EQ(qavx->isa(), expect);
+    EXPECT_EQ(q->isa(), expect);
     // blocked keeps the bit-identity contract on either kernel.
     EXPECT_TRUE(blk->bitIdenticalToReference());
     // The dispatch predicate and the human-readable level agree.
-    EXPECT_EQ(cpu::simdLevel(),
-              cpu::hasAvx2() ? "avx2+fma" : "scalar");
-}
-
-TEST(BackendSimd, Avx2CostModelMatchesScalarSiblings)
-{
-    const Dnn net = makeNet(10, {20}, 30, 3);
-    const auto blk = Backend::create(BackendKind::Blocked, net);
-    const auto avx = Backend::create(BackendKind::BlockedAvx2, net);
-    const auto q = Backend::create(BackendKind::Int8, net);
-    const auto qavx = Backend::create(BackendKind::Int8Avx2, net);
-    EXPECT_EQ(avx->macsPerFrame(), blk->macsPerFrame());
-    EXPECT_EQ(qavx->macsPerFrame(), q->macsPerFrame());
-    EXPECT_EQ(avx->weightBytesPerFrame(), blk->weightBytesPerFrame());
-    EXPECT_EQ(qavx->weightBytesPerFrame(), q->weightBytesPerFrame());
-    // int8-avx2 shares int8's accuracy contract, never bitwise.
-    EXPECT_FALSE(qavx->bitIdenticalToReference());
+    EXPECT_EQ(cpu::simdLevel(), expect);
 }
 
 TEST(BackendEquivalence, ZeroInputRow)

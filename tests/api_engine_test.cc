@@ -18,8 +18,8 @@
  *    pool (TSan runs this via the concurrency label),
  *    with live frames provably reaching the cross-session batch
  *    scorer (mean batch rows > 1).
- *  - Options validation: unknown search/acoustic backend names are
- *    rejected with diagnostics listing the registered ones.
+ *  - Options validation: unknown search backend names are rejected
+ *    with diagnostics listing the valid ones.
  *  - EngineStats: time-to-first-partial is recorded and rendered.
  *  - Deadlines: the watchdog forecloses abandoned streams at their
  *    StreamOptions::deadlineMs, bounds the finish wait, never fires
@@ -510,19 +510,11 @@ TEST_F(ApiEngineTest, OpenStatusDistinguishesFailures)
     EXPECT_TRUE(engine.cancel(retried));
 
     // Structurally bad options are permanent, not capacity: wake-word
-    // gating without the endpointer it requires...
+    // gating without the endpointer it requires.
     api::StreamOptions gated;
     gated.wakeWord.assign(1600, 0.0f);
     const StreamHandle bad1 = engine.open(gated, status);
     EXPECT_EQ(bad1.value, 0u);
-    EXPECT_EQ(status, api::OpenStatus::InvalidOptions);
-
-    // ...and an endpointer detector that names no registered VAD.
-    api::StreamOptions unknown;
-    unknown.autoEndpoint = true;
-    unknown.endpoint.detector = "no-such-detector";
-    const StreamHandle bad2 = engine.open(unknown, status);
-    EXPECT_EQ(bad2.value, 0u);
     EXPECT_EQ(status, api::OpenStatus::InvalidOptions);
 
     // The one-argument open() keeps its historical contract.
@@ -845,14 +837,6 @@ TEST_F(ApiEngineTest, ValidateRejectsUnknownBackendsListingKnown)
         EXPECT_NE(searchErr.find(name), std::string::npos) << name;
 
     opts.searchBackend = "viterbi";
-    opts.acousticBackend = "float128";
-    const std::string acousticErr = opts.validate();
-    ASSERT_FALSE(acousticErr.empty());
-    EXPECT_NE(acousticErr.find("float128"), std::string::npos);
-    for (const char *name : {"reference", "blocked", "int8"})
-        EXPECT_NE(acousticErr.find(name), std::string::npos) << name;
-
-    opts.acousticBackend = "blocked";
     EXPECT_TRUE(opts.validate().empty());
 
     // An empty name resolves to the default software decoder.

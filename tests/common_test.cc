@@ -204,8 +204,7 @@ TEST(CpuInfo, DispatchPredicateHonorsTestOverride)
 
 TEST(CpuInfo, SimdLevelMatchesPredicate)
 {
-    EXPECT_EQ(cpu::simdLevel(),
-              cpu::hasAvx2() ? "avx2+fma" : "scalar");
+    EXPECT_EQ(cpu::simdLevel(), cpu::hasAvx2() ? "avx2" : "scalar");
     // Probe caching: repeated calls must agree.
     const bool first = cpu::hasAvx2();
     for (int i = 0; i < 4; ++i)

@@ -363,13 +363,6 @@ TEST_F(EndpointingTest, UnknownDetectorAndBareWakeWordAreRejected)
 {
     Engine engine(*model, engineOptions());
     {
-        StreamOptions sopts;
-        sopts.autoEndpoint = true;
-        sopts.endpoint.detector = "no-such-vad";
-        const StreamHandle h = engine.open(sopts);
-        EXPECT_EQ(h.value, 0u);
-    }
-    {
         StreamOptions sopts;  // wakeWord without autoEndpoint
         sopts.wakeWord.assign(16000, 0.0f);
         const StreamHandle h = engine.open(sopts);

@@ -2,10 +2,8 @@
  * @file
  * Unit tests for the always-on front-end pieces in isolation:
  *
- *  - vad::Detector ("energy"): tone vs silence classification,
- *    hangover smoothing, adaptive-floor behaviour.
- *  - The detector registry: custom registration, unknown-name
- *    diagnostics listing the valid choices.
+ *  - vad::Detector (energy + zero-crossing): tone vs silence
+ *    classification, hangover smoothing, adaptive-floor behaviour.
  *  - frontend::Endpointer: sample-exact segment extraction (the
  *    Audio events concatenate to exactly [startSample, endSample) of
  *    the input), preroll/hangover inclusion, chunk-size invariance,
@@ -74,7 +72,7 @@ noiseFloor(std::size_t n, std::uint64_t seed = 9, float amp = 1e-3f)
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Frame helpers and the built-in detector.
+// Frame helpers and the detector.
 // ---------------------------------------------------------------------------
 
 TEST(VadHelpers, FrameEnergyAndZeroCrossings)
@@ -96,74 +94,40 @@ TEST(VadHelpers, FrameEnergyAndZeroCrossings)
 
 TEST(EnergyDetector, SeparatesToneFromNoiseFloor)
 {
-    auto det = vad::createDetector("energy", vad::VadConfig());
-    ASSERT_NE(det, nullptr);
-    EXPECT_EQ(det->name(), "energy");
+    vad::Detector det{vad::VadConfig()};
 
     // Seed the adaptive floor with quiet frames first.
     const std::vector<float> quiet = noiseFloor(kFrame * 20);
     for (std::size_t f = 0; f < 20; ++f)
-        EXPECT_FALSE(det->classify(
+        EXPECT_FALSE(det.classify(
             std::span<const float>(quiet.data() + f * kFrame, kFrame)))
             << "noise-floor frame " << f << " classified as speech";
 
     const std::vector<float> loud = tone(kFrame);
-    EXPECT_TRUE(det->classify(loud));
+    EXPECT_TRUE(det.classify(loud));
 }
 
 TEST(EnergyDetector, HangoverBridgesShortDips)
 {
     vad::VadConfig cfg;
     cfg.hangoverFrames = 3;
-    auto det = vad::createDetector("energy", cfg);
+    vad::Detector det(cfg);
     const std::vector<float> quiet = noiseFloor(kFrame * 8);
     for (std::size_t f = 0; f < 8; ++f)
-        det->classify(
+        det.classify(
             std::span<const float>(quiet.data() + f * kFrame, kFrame));
 
-    ASSERT_TRUE(det->classify(tone(kFrame)));
+    ASSERT_TRUE(det.classify(tone(kFrame)));
     // Silence now: the decision holds for exactly hangoverFrames.
     const std::vector<float> dip = noiseFloor(kFrame, 11);
     for (unsigned f = 0; f < cfg.hangoverFrames; ++f)
-        EXPECT_TRUE(det->classify(dip)) << "hangover frame " << f;
-    EXPECT_FALSE(det->classify(dip));
+        EXPECT_TRUE(det.classify(dip)) << "hangover frame " << f;
+    EXPECT_FALSE(det.classify(dip));
 
-    det->reset();
+    det.reset();
     // After reset the first frame seeds the floor: a lone tone frame
     // cannot clear a floor seeded by itself.
-    EXPECT_FALSE(det->classify(tone(kFrame)));
-}
-
-TEST(DetectorRegistry, UnknownNameDiagnosticsAndCustomFactories)
-{
-    EXPECT_TRUE(vad::isDetectorRegistered("energy"));
-    EXPECT_FALSE(vad::isDetectorRegistered("no-such-vad"));
-    EXPECT_EQ(vad::tryCreateDetector("no-such-vad", vad::VadConfig()),
-              nullptr);
-
-    const std::string msg = vad::unknownDetectorMessage("no-such-vad");
-    EXPECT_NE(msg.find("no-such-vad"), std::string::npos);
-    EXPECT_NE(msg.find("'energy'"), std::string::npos);
-
-    // A custom detector registers and resolves like the built-in.
-    class AlwaysSpeech final : public vad::Detector
-    {
-        std::string_view name() const override { return "always"; }
-        bool classify(std::span<const float>) override { return true; }
-        void reset() override {}
-    };
-    vad::registerDetector("always", [](const vad::VadConfig &) {
-        return std::unique_ptr<vad::Detector>(new AlwaysSpeech);
-    });
-    EXPECT_TRUE(vad::isDetectorRegistered("always"));
-    auto det = vad::createDetector("always", vad::VadConfig());
-    EXPECT_TRUE(det->classify(std::vector<float>(kFrame, 0.0f)));
-
-    const auto names = vad::registeredDetectorNames();
-    EXPECT_NE(std::find(names.begin(), names.end(), "energy"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "always"),
-              names.end());
+    EXPECT_FALSE(det.classify(tone(kFrame)));
 }
 
 // ---------------------------------------------------------------------------

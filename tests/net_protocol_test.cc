@@ -17,6 +17,7 @@
  */
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <vector>
@@ -97,6 +98,39 @@ TEST(NetProtocol, SamplesRejectNonMultipleOfFour)
     std::vector<std::uint8_t> payload(7, 0);
     std::vector<float> out;
     EXPECT_FALSE(decodeSamples(payload, out));
+}
+
+TEST(NetProtocol, SamplesRejectNonFinite)
+{
+    // A NaN or +-Inf sample would decode to a silent empty result,
+    // so the codec refuses it wherever it sits in the payload.
+    using Lim = std::numeric_limits<float>;
+    for (const float bad :
+         {Lim::quiet_NaN(), Lim::infinity(), -Lim::infinity()}) {
+        for (const std::size_t at : {0u, 4u, 8u}) {
+            std::vector<float> in(9, 0.25f);
+            in[at] = bad;
+            std::vector<std::uint8_t> payload;
+            encodeSamples(payload, in);
+            std::vector<float> out;
+            EXPECT_FALSE(decodeSamples(payload, out))
+                << bad << " at sample " << at;
+        }
+    }
+
+    // Every finite value is audio, the edges included; compare bit
+    // patterns so -0 is told apart from +0.
+    const std::vector<float> edges = {
+        Lim::denorm_min(), -Lim::denorm_min(), Lim::min(), 0.0f,
+        -0.0f,             Lim::max(),         -Lim::max()};
+    std::vector<std::uint8_t> payload;
+    encodeSamples(payload, edges);
+    std::vector<float> out;
+    ASSERT_TRUE(decodeSamples(payload, out));
+    ASSERT_EQ(out.size(), edges.size());
+    for (std::size_t i = 0; i < edges.size(); ++i)
+        EXPECT_EQ(std::memcmp(&out[i], &edges[i], sizeof(float)), 0)
+            << "edge value " << i;
 }
 
 TEST(NetProtocol, WordsRoundTripIncludingEmpty)

@@ -18,18 +18,21 @@
  *    same OPEN succeeds after a slot frees -- the rejection is
  *    recoverable.
  *  - Robustness: a mid-utterance disconnect cancels the abandoned
- *    engine stream; malformed bytes poison only their own
- *    connection; requests against unknown/duplicate streams answer
- *    machine-readable ERRORs; the server keeps serving fresh
- *    connections after each failure mode.
+ *    engine stream; malformed bytes, and a PUSH carrying a NaN
+ *    sample, poison only their own connection; requests against
+ *    unknown/duplicate streams answer machine-readable ERRORs; the
+ *    server keeps serving fresh connections after each failure
+ *    mode.
  */
 
 #include <chrono>
 #include <cstring>
 #include <functional>
 #include <future>
+#include <limits>
 #include <span>
 #include <string>
+#include <poll.h>
 #include <string_view>
 #include <sys/socket.h>
 #include <thread>
@@ -130,6 +133,48 @@ class NetServerTest : public ::testing::Test
                 stream,
                 std::span<const float>(s.data() + base, len)))
                 << client.lastError();
+        }
+    }
+
+    /**
+     * Read @p sock until the server closes it (or 10 s pass),
+     * collecting the code of every ERROR frame received.
+     * @return true when the server closed the connection
+     */
+    static bool
+    readUntilClosed(const net::Socket &sock,
+                    std::vector<net::ErrorCode> &errors)
+    {
+        net::FrameReader reader;
+        net::Frame frame;
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::seconds(10);
+        while (true) {
+            // Poll first, so a server that never closes fails the
+            // caller's expectation instead of blocking recv forever.
+            const auto left =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    deadline - std::chrono::steady_clock::now());
+            if (left.count() <= 0)
+                return false;
+            pollfd pfd{sock.fd(), POLLIN, 0};
+            if (::poll(&pfd, 1, int(left.count())) <= 0)
+                continue;
+            std::uint8_t buf[4096];
+            const ssize_t n = ::recv(sock.fd(), buf, sizeof(buf), 0);
+            if (n == 0)
+                return true;
+            if (n < 0)
+                continue;
+            reader.feed(std::span<const std::uint8_t>(
+                buf, std::size_t(n)));
+            while (reader.next(frame)) {
+                if (frame.type != net::FrameType::RespError)
+                    continue;
+                net::ErrorInfo info;
+                EXPECT_TRUE(net::decodeError(frame.payload, info));
+                errors.push_back(info.code);
+            }
         }
     }
 
@@ -436,34 +481,11 @@ TEST_F(NetServerTest, MalformedBytesPoisonOnlyTheirOwnConnection)
     ASSERT_TRUE(net::sendAll(raw.fd(), junk, sizeof(junk)));
 
     // The server answers one ERROR frame, then closes B.
-    net::FrameReader reader;
-    net::Frame frame;
-    bool gotError = false, closed = false;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(10);
-    while (std::chrono::steady_clock::now() < deadline && !closed) {
-        std::uint8_t buf[4096];
-        const ssize_t n = ::recv(raw.fd(), buf, sizeof(buf), 0);
-        if (n == 0) {
-            closed = true;
-            break;
-        }
-        if (n < 0)
-            continue;
-        reader.feed(std::span<const std::uint8_t>(
-            buf, std::size_t(n)));
-        while (reader.next(frame)) {
-            if (frame.type == net::FrameType::RespError) {
-                net::ErrorInfo info;
-                ASSERT_TRUE(
-                    net::decodeError(frame.payload, info));
-                EXPECT_EQ(info.code, net::ErrorCode::BadFrame);
-                gotError = true;
-            }
-        }
-    }
-    EXPECT_TRUE(gotError);
-    EXPECT_TRUE(closed);
+    std::vector<net::ErrorCode> errors;
+    EXPECT_TRUE(readUntilClosed(raw, errors));
+    EXPECT_FALSE(errors.empty());
+    for (const net::ErrorCode code : errors)
+        EXPECT_EQ(code, net::ErrorCode::BadFrame);
     EXPECT_GE(server.counters().malformedFrames, 1u);
 
     // Connection A never noticed.
@@ -472,6 +494,49 @@ TEST_F(NetServerTest, MalformedBytesPoisonOnlyTheirOwnConnection)
     net::FinalResult fin;
     EXPECT_TRUE(healthy.finishStream(1, fin))
         << healthy.lastError();
+}
+
+TEST_F(NetServerTest, NonFinitePushIsABadFrame)
+{
+    // One NaN sample would otherwise flow into MFCC, the DNN and
+    // search and come back as an empty FINAL with no error at all.
+    // The PUSH is malformed instead: ERROR BAD_FRAME, then the
+    // server closes the connection.
+    EngineOptions opts;
+    opts.numThreads = 2;
+    Engine engine(*model, opts);
+    net::Server server(engine);
+
+    std::string err;
+    net::Socket raw =
+        net::connectTcp("127.0.0.1", server.port(), err);
+    ASSERT_TRUE(raw.valid()) << err;
+    const frontend::AudioSignal audio = testAudio(71);
+    std::vector<float> chunk(audio.samples.begin(),
+                             audio.samples.begin() + 512);
+    chunk[256] = std::numeric_limits<float>::quiet_NaN();
+    std::vector<std::uint8_t> wire, payload;
+    net::appendFrame(wire, net::FrameType::Open, 1, {});
+    net::encodeSamples(payload, chunk);
+    net::appendFrame(wire, net::FrameType::Push, 1, payload);
+    ASSERT_TRUE(net::sendAll(raw.fd(), wire.data(), wire.size()));
+
+    std::vector<net::ErrorCode> errors;
+    EXPECT_TRUE(readUntilClosed(raw, errors));
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_EQ(errors[0], net::ErrorCode::BadFrame);
+    EXPECT_GE(server.counters().malformedFrames, 1u);
+
+    // A second connection still decodes the same audio, NaN-free.
+    net::Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    ASSERT_EQ(client.openStream(1), net::Client::OpenOutcome::Ok);
+    pushAll(client, 1, audio, 512);
+    net::FinalResult fin;
+    ASSERT_TRUE(client.finishStream(1, fin)) << client.lastError();
+    const pipeline::RecognitionResult want = referenceDecode(audio);
+    EXPECT_EQ(fin.words, want.words);
+    EXPECT_EQ(fin.score, want.score);
 }
 
 TEST_F(NetServerTest, UnknownAndDuplicateStreamsAnswerErrors)

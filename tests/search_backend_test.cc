@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the search::Backend registry: the built-ins resolve by
- * name and decode exactly like the bare classes they wrap, unknown
- * names are rejected with a diagnostic that lists the registered
- * backends, and user-registered factories participate like the
- * built-ins.  (The dense bit-identity sweep against the pre-refactor
- * classes lives in equivalence_property_test.cc.)
+ * Tests for the search::Backend name table: the three backends
+ * resolve by name and decode exactly like the bare classes they
+ * wrap, and unknown names are rejected with a diagnostic that lists
+ * the valid backends.  (The dense bit-identity sweep against the
+ * pre-refactor classes lives in equivalence_property_test.cc.)
  */
 
 #include <memory>
@@ -157,32 +156,4 @@ TEST(SearchRegistry, RunTimingCannotChangeResults)
             ->decode(scores);
     EXPECT_EQ(r_timed.words, r_func.words);
     EXPECT_EQ(r_timed.score, r_func.score);
-}
-
-TEST(SearchRegistry, UserRegisteredBackendParticipates)
-{
-    // A downstream registration is creatable by name, shows up in
-    // the listing, and re-registration replaces the factory.
-    const wfst::Wfst net = testNet();
-    const auto scores = testScores(8);
-
-    search::registerBackend(
-        "test-alias-viterbi",
-        [](const wfst::Wfst &n, const search::BackendConfig &c) {
-            return search::createBackend("viterbi", n, c);
-        });
-    EXPECT_TRUE(search::isBackendRegistered("test-alias-viterbi"));
-
-    search::BackendConfig cfg;
-    cfg.decoder.beam = 8.0f;
-    const auto alias =
-        search::createBackend("test-alias-viterbi", net, cfg);
-    const auto direct = search::createBackend("viterbi", net, cfg);
-    const auto r_alias = alias->decode(scores);
-    const auto r_direct = direct->decode(scores);
-    EXPECT_EQ(r_alias.words, r_direct.words);
-    EXPECT_EQ(r_alias.score, r_direct.score);
-
-    const std::string msg = search::unknownBackendMessage("nope");
-    EXPECT_NE(msg.find("test-alias-viterbi"), std::string::npos);
 }
