@@ -14,11 +14,10 @@
  *
  * The TokenStore decoder additionally runs on the compressed arc
  * layout (wfst::CompactArcs, Sec. IV-A's bandwidth diet applied to
- * the CPU path) in both weight modes: exact (must stay bit-identical
- * to the raw layout) and quantized (score within the dequant-table
- * error bound).  Every row reports the graph bytes the search
- * actually streamed per frame, so the layouts' DRAM-traffic ratio is
- * a first-class result next to the speedup.
+ * the CPU path), which must stay bit-identical to the raw layout.
+ * Every row reports the graph bytes the search actually streamed per
+ * frame, so the layouts' DRAM-traffic ratio is a first-class result
+ * next to the speedup.
  *
  * A final section streams a long utterance through the optimized
  * decoder with backpointer-arena GC enabled and reports the bounded
@@ -30,7 +29,6 @@
  *   search_throughput [--quick] [--out <path>]
  */
 
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -110,27 +108,19 @@ main(int argc, char **argv)
 
     double paperScaleSpeedup = 0.0;
     double paperScaleCompactSpeedup = 0.0;
-    double paperScaleBytesRatio = 0.0;
     for (const bench::WorkloadScale &scale : scales) {
         bench::Workload w = bench::buildWorkload(scale);
 
-        // Compressed layouts, built once per net: exact keeps raw
-        // f32 weights (bitwise contract), quantized shrinks them to
-        // a u8 dequant-table index.
+        // Compressed layout, built once per net; it keeps raw f32
+        // weights (bitwise contract).
         const auto exact = std::make_shared<const wfst::CompactArcs>(
             wfst::CompactArcs::build(w.net, wfst::WeightMode::Exact));
-        const auto quant = std::make_shared<const wfst::CompactArcs>(
-            wfst::CompactArcs::build(w.net,
-                                     wfst::WeightMode::Quantized));
         std::printf(
             "%u states: raw arcs %.1f MB (16.0 B/arc), compact "
-            "exact %.1f MB (%.1f B/arc), quantized %.1f MB "
-            "(%.1f B/arc, weight error <= %.2e)\n",
+            "exact %.1f MB (%.1f B/arc)\n",
             w.net.numStates(),
             double(w.net.numArcs()) * sizeof(wfst::ArcEntry) / 1e6,
-            double(exact->sizeBytes()) / 1e6, exact->bytesPerArc(),
-            double(quant->sizeBytes()) / 1e6, quant->bytesPerArc(),
-            double(quant->maxWeightError()));
+            double(exact->sizeBytes()) / 1e6, exact->bytesPerArc());
 
         // One untimed pass pages the net in so neither side is
         // charged the cold-start DRAM traffic.
@@ -172,28 +162,6 @@ main(int argc, char **argv)
                       "layout at %u states, beam %.2f",
                       w.net.numStates(), double(beam));
 
-            w.net.attachCompactArcs(quant);
-            const Measurement cq =
-                measureDecode<decoder::ViterbiDecoder>(w.net, ccfg,
-                                                       w.scores);
-            const bool quantIdentical =
-                identicalResults(opt.result, cq.result);
-            // Quantized weights perturb every arc by at most the
-            // table step/2; a generous path-length bound flags real
-            // decode bugs without tripping on honest rounding.
-            const double quantBound =
-                double(quant->maxWeightError()) *
-                    (8.0 * double(opt.result.stats.framesDecoded) +
-                     16.0) +
-                1e-3;
-            const double quantScoreErr = std::abs(
-                double(cq.result.score) - double(opt.result.score));
-            if (quantScoreErr > quantBound)
-                warn("quantized-layout score drifted %.4f "
-                     "(bound %.4f) at %u states, beam %.2f",
-                     quantScoreErr, quantBound, w.net.numStates(),
-                     double(beam));
-
             const double speedup =
                 opt.seconds > 0.0 ? base.seconds / opt.seconds : 0.0;
             if (&scale == &scales.back() && beam == w.beam) {
@@ -201,12 +169,6 @@ main(int argc, char **argv)
                 paperScaleCompactSpeedup =
                     cex.seconds > 0.0 ? base.seconds / cex.seconds
                                       : 0.0;
-                const double quantBpf =
-                    cq.result.stats.bytesPerFrame();
-                paperScaleBytesRatio =
-                    quantBpf > 0.0
-                        ? opt.result.stats.bytesPerFrame() / quantBpf
-                        : 0.0;
             }
 
             struct RowSpec
@@ -220,7 +182,6 @@ main(int argc, char **argv)
                 {&base, "baseline", "raw", true},
                 {&opt, "tokenstore", "raw", identical},
                 {&cex, "tokenstore", "compact-exact", true},
-                {&cq, "tokenstore", "compact-quant", quantIdentical},
             };
             for (const RowSpec &spec : specs) {
                 const Measurement *m = spec.m;
@@ -348,11 +309,6 @@ main(int argc, char **argv)
                     paperScaleCompactSpeedup);
         if (paperScaleCompactSpeedup < 4.0)
             warn("compact-layout speedup below the 4x target");
-        std::printf("graph bytes/frame, raw -> quantized compact: "
-                    "%.2fx smaller (target >= 2x)\n",
-                    paperScaleBytesRatio);
-        if (paperScaleBytesRatio < 2.0)
-            warn("arc-traffic reduction below the 2x target");
     }
     report.write(args.outPath);
     return 0;

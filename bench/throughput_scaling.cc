@@ -165,9 +165,9 @@ runSweep(const pipeline::AsrModel &model,
     cfg.numThreads = threads;
     cfg.baseSeed = kBaseSeed;
     // Eight sessions in flight: enough to amortize one weight pass
-    // across the coalesced batch (8 sessions x chunksPerTick frames
-    // per tick) while keeping the per-session search state within
-    // reach of the cache.
+    // across the coalesced batch (8 sessions x up to 8 chunks per
+    // tick) while keeping the per-session search state within reach
+    // of the cache.
     cfg.maxBatchSessions = 8;
     api::Engine engine(model, cfg);
 

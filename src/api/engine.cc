@@ -25,6 +25,23 @@ EngineOptions::validate() const
 
 namespace {
 
+/**
+ * Audio chunk size the coordinator feeds a one-shot job's session per
+ * push, in samples: 160 = one 10 ms frame at 16 kHz, the push
+ * sequence a live client streaming the same audio would produce.
+ * (Live streams arrive pre-chunked by the caller's push() calls.)
+ */
+constexpr std::size_t kChunkSamples = 160;
+
+/**
+ * Audio chunks each session advances per tick.  More chunks coalesce
+ * more frames per forward pass (batch ~= sessions x kChunksPerTick)
+ * and amortize the per-tick stage barriers, at the cost of coarser
+ * partial-result latency.  Results stay bit-identical to inline
+ * per-frame scoring regardless.
+ */
+constexpr std::size_t kChunksPerTick = 8;
+
 /** Validate before training: a typo must not cost a model build. */
 std::unique_ptr<pipeline::AsrModel>
 buildModel(const wfst::Wfst &net,
@@ -70,7 +87,6 @@ Engine::start()
     ASR_ASSERT(opts.numThreads >= 1, "need at least one worker");
     ASR_ASSERT(opts.maxBatchSessions >= 1,
                "need at least one coordinator session slot");
-    ASR_ASSERT(opts.chunkSamples >= 1, "chunk must hold samples");
     ASR_ASSERT(opts.maxQueuedChunks >= 1,
                "backpressure bound must admit at least one chunk");
     ASR_ASSERT(opts.retiredHandleCap >= 1,
@@ -801,13 +817,11 @@ Engine::advanceActive(ActiveSession &as)
     as.tickWork = 0;
     if (as.finishing || as.cancelled)
         return;
-    const std::size_t max_chunks =
-        std::max<std::size_t>(1, opts.chunksPerTick);
 
     if (as.job.live) {
         LiveStream &ls = *as.job.live;
         bool drained_closed = false;
-        for (std::size_t c = 0; c < max_chunks; ++c) {
+        for (std::size_t c = 0; c < kChunksPerTick; ++c) {
             std::vector<float> chunk;
             {
                 std::lock_guard<std::mutex> lock(ls.mu);
@@ -851,13 +865,11 @@ Engine::advanceActive(ActiveSession &as)
         as.tickWork = 1;
         return;
     }
-    // One chunkSamples-sized push at a time (the push sequence a
-    // live client streaming the same audio would produce), several
-    // per tick.
+    // One kChunkSamples-sized push at a time, several per tick.
     for (std::size_t c = 0;
-         c < max_chunks && as.offset < samples.size(); ++c) {
+         c < kChunksPerTick && as.offset < samples.size(); ++c) {
         const std::size_t len = std::min(
-            opts.chunkSamples, samples.size() - as.offset);
+            kChunkSamples, samples.size() - as.offset);
         as.session->pushAudio(std::span<const float>(
             samples.data() + as.offset, len));
         as.offset += len;

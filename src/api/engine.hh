@@ -357,7 +357,7 @@ class Engine : public StreamEndpoint
     /** @return chunks advanced + rows scored (0 = idle tick). */
     std::size_t tick(std::vector<ActiveSession> &active);
 
-    /** Advance one active session by up to chunksPerTick chunks. */
+    /** Advance one active session by up to kChunksPerTick chunks. */
     void advanceActive(ActiveSession &as);
 
     std::unique_ptr<pipeline::AsrModel> ownedModel;

@@ -33,14 +33,6 @@ struct EngineOptions : server::SessionKnobs
     std::uint64_t baseSeed = 1;
 
     /**
-     * Audio chunk size the coordinator feeds a one-shot job's session
-     * per push, in samples; 160 = one 10 ms frame at 16 kHz,
-     * exercising the streaming path the way a live client would.
-     * (Live streams arrive pre-chunked by the caller's push() calls.)
-     */
-    std::size_t chunkSamples = 160;
-
-    /**
      * Ignored.  Cross-session batched scoring is the engine's only
      * execution mode; the field remains only so existing callers
      * that still set it keep compiling.
@@ -59,15 +51,6 @@ struct EngineOptions : server::SessionKnobs
      * with the number of active sessions, not the thread count.
      */
     std::size_t maxBatchSessions = 32;
-
-    /**
-     * Audio chunks each session advances per tick.  Larger values
-     * coalesce more frames per forward pass (batch ~= sessions x
-     * chunksPerTick) and amortize the per-tick stage barriers, at
-     * the cost of coarser partial-result latency.  Results stay
-     * bit-identical to inline per-frame scoring regardless.
-     */
-    std::size_t chunksPerTick = 8;
 
     /**
      * Backpressure bound for live streams: push() blocks once this

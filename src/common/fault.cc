@@ -66,8 +66,7 @@ struct Registry
               "net.server.send.short", "net.server.wake",
               "net.client.connect", "net.client.recv",
               "net.client.recv.short", "net.client.send",
-              "net.client.send.short", "wfst.compact.load.alloc",
-              "api.engine.tick.stall"})
+              "net.client.send.short", "api.engine.tick.stall"})
             points.emplace(name, makePoint(name));
     }
 
@@ -215,23 +214,6 @@ detail::shortenIoSlow(const char *point, std::size_t len)
     // At least one byte so a shortened read can never masquerade as
     // EOF (which callers rightly treat as a dead peer).
     return 1 + std::size_t(mix(h ^ 0x10ULL) % len);
-}
-
-bool
-detail::failAllocSlow(const char *point)
-{
-    Point &p = *registry().lookup(point);
-    bool retryable_only;
-    {
-        Registry &r = registry();
-        std::lock_guard<std::mutex> lock(r.mu);
-        retryable_only = r.config.retryableOnly;
-    }
-    if (retryable_only) {
-        p.hits.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    return roll(p) != 0;
 }
 
 void

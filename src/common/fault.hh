@@ -3,15 +3,15 @@
  * Deterministic fault injection for chaos testing.
  *
  * Production code marks its failure seams with named injection
- * points -- the syscall boundaries in the network layer, the big
- * allocation in the WFST loader, the batch coordinator's tick -- and
- * a chaos test arms the registry with a seed and a fire rate.  Armed,
- * each seam deterministically decides per hit whether to fail (and
- * how: which errno, how short an I/O, how long a stall) from a hash
- * of (seed, point name, hit index), so the same seed replays the same
- * fault schedule regardless of wall-clock or thread interleaving of
- * *other* points.  Disarmed -- the production default -- every seam
- * is a single relaxed atomic load and a predicted-not-taken branch.
+ * points -- the syscall boundaries in the network layer, the batch
+ * coordinator's tick -- and a chaos test arms the registry with a
+ * seed and a fire rate.  Armed, each seam deterministically decides
+ * per hit whether to fail (and how: which errno, how short an I/O,
+ * how long a stall) from a hash of (seed, point name, hit index), so
+ * the same seed replays the same fault schedule regardless of
+ * wall-clock or thread interleaving of *other* points.  Disarmed --
+ * the production default -- every seam is a single relaxed atomic
+ * load and a predicted-not-taken branch.
  *
  * Seams:
  *   - failErrno(point, {candidates}): returns 0 (proceed) or an
@@ -20,8 +20,6 @@
  *   - shortenIo(point, len): returns a possibly smaller (>= 1)
  *     length to pass to the real read/write, exercising the caller's
  *     partial-I/O resumption.
- *   - failAlloc(point): true if the caller should behave as if the
- *     allocation threw std::bad_alloc.
  *   - stall(point): sleeps up to Config::stallMaxMs when it fires,
  *     simulating a slow tick / scheduling hiccup.
  *
@@ -66,7 +64,6 @@ namespace detail {
 extern std::atomic<bool> gArmed;
 int failErrnoSlow(const char *point, std::initializer_list<int> errnos);
 std::size_t shortenIoSlow(const char *point, std::size_t len);
-bool failAllocSlow(const char *point);
 void stallSlow(const char *point);
 } // namespace detail
 
@@ -98,13 +95,6 @@ inline std::size_t
 shortenIo(const char *point, std::size_t len)
 {
     return armed() ? detail::shortenIoSlow(point, len) : len;
-}
-
-/** Maybe fail an allocation.  Never fires under retryableOnly. */
-inline bool
-failAlloc(const char *point)
-{
-    return armed() && detail::failAllocSlow(point);
 }
 
 /** Maybe sleep up to Config::stallMaxMs (a slow-tick hiccup). */

@@ -56,11 +56,10 @@ struct DecoderConfig
     /**
      * Walk the compressed arc layout (wfst/compact.hh) instead of
      * the raw 16-byte-per-arc array.  Requires a CompactArcs to be
-     * attached to the Wfst (fatal otherwise).  With an exact-weight
-     * encoding, results are bit-identical to the raw layout; with
-     * quantized weights they track it within the documented bound.
-     * Software decoder only; the accelerator model and the frozen
-     * baseline always walk the raw layout.
+     * attached to the Wfst (fatal otherwise).  Results are
+     * bit-identical to the raw layout.  Software decoder only; the
+     * accelerator model and the frozen baseline always walk the raw
+     * layout.
      */
     bool useCompactArcs = false;
 };

@@ -104,15 +104,6 @@ AsrModel::trainAcousticModel()
     trainAccuracy = dnn_.accuracy(x, y);
 }
 
-std::vector<float>
-AsrModel::scoreSplicedFrame(const std::vector<float> &spliced) const
-{
-    acoustic::FrameScratch scratch;
-    std::vector<float> out(backend_->outputDim() + 1, wfst::kLogZero);
-    scoreSplicedFrameInto(spliced, out, scratch);
-    return out;
-}
-
 void
 AsrModel::scoreSplicedFrameInto(std::span<const float> spliced,
                                 std::span<float> likes,

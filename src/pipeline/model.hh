@@ -96,21 +96,14 @@ class AsrModel
     float acousticModelAccuracy() const { return trainAccuracy; }
 
     /**
-     * Score one spliced feature row ((2*context+1)*numCeps values).
-     * Row-independent and bit-identical to the corresponding row of
-     * scorer().score() over the whole utterance, which is what makes
-     * streaming and batch decoding agree exactly.
-     * @return log-likelihoods indexed by phoneme id (slot 0 unused)
-     */
-    std::vector<float>
-    scoreSplicedFrame(const std::vector<float> &spliced) const;
-
-    /**
-     * Allocation-free variant of scoreSplicedFrame for streaming
-     * sessions: writes log-likelihoods into @p likes (numPhonemes + 1
-     * entries, slot 0 set to kLogZero) reusing @p scratch across
-     * calls.  Safe to call concurrently with distinct scratch
-     * objects.
+     * Score one spliced feature row ((2*context+1)*numCeps values)
+     * for streaming sessions, without allocating.  Row-independent
+     * and bit-identical to the corresponding row of scorer().score()
+     * over the whole utterance, which is what makes streaming and
+     * batch decoding agree exactly.  Writes log-likelihoods indexed
+     * by phoneme id into @p likes (numPhonemes + 1 entries, slot 0
+     * set to kLogZero), reusing @p scratch across calls.  Safe to
+     * call concurrently with distinct scratch objects.
      */
     void scoreSplicedFrameInto(std::span<const float> spliced,
                                std::span<float> likes,

@@ -189,9 +189,6 @@ class StreamingSession
 
     const SessionConfig &config() const { return cfg; }
 
-    /** The session's private deterministic RNG. */
-    Rng &rng() { return rng_; }
-
   private:
     /** Score+feed every frame whose context allows it. */
     void drainReadyFrames(bool flush);

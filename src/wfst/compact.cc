@@ -1,11 +1,8 @@
 #include "wfst/compact.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 
-#include "common/fault.hh"
 #include "common/logging.hh"
 #include "wfst/wfst.hh"
 
@@ -37,8 +34,8 @@ putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
 }
 
 /**
- * Unchecked LEB128 read for the decode hot path: load() has already
- * proven every group decodes cleanly inside its byte span.
+ * Unchecked LEB128 read for the decode hot path: build() is the only
+ * producer, so every group holds exactly the records it encoded.
  */
 std::uint64_t
 readVarint(const std::uint8_t *&p)
@@ -52,48 +49,13 @@ readVarint(const std::uint8_t *&p)
     return v;
 }
 
-/** Bounds- and length-checked LEB128 read for hostile input. */
-bool
-tryReadVarint(const std::uint8_t *&p, const std::uint8_t *end,
-              std::uint64_t &v)
-{
-    v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        if (p == end)
-            return false;
-        const std::uint8_t byte = *p++;
-        v |= std::uint64_t(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return true;
-    }
-    return false;  // > 10 bytes: not produced by any encoder
-}
-
 } // namespace
 
 CompactArcs
-CompactArcs::build(const Wfst &graph, WeightMode mode)
+CompactArcs::build(const Wfst &graph, WeightMode)
 {
     CompactArcs c;
-    c.mode_ = mode;
     c.totalArcs = graph.numArcs();
-
-    float minW = 0.0f, step = 0.0f;
-    if (mode == WeightMode::Quantized) {
-        float lo = std::numeric_limits<float>::infinity();
-        float hi = -std::numeric_limits<float>::infinity();
-        for (const ArcEntry &a : graph.arcArray()) {
-            lo = std::min(lo, a.weight);
-            hi = std::max(hi, a.weight);
-        }
-        if (!(lo <= hi))  // no arcs
-            lo = hi = 0.0f;
-        minW = lo;
-        step = (hi - lo) / 255.0f;
-        for (std::size_t i = 0; i < c.table.size(); ++i)
-            c.table[i] = minW + step * float(i);
-        c.maxError = step * 0.5f;
-    }
 
     const StateId n = graph.numStates();
     c.headers_.reserve(std::size_t(n) + 1);
@@ -112,18 +74,10 @@ CompactArcs::build(const Wfst &graph, WeightMode mode)
             if (i < e.numNonEpsArcs)
                 putVarint(c.payload_, a.ilabel);
             putVarint(c.payload_, a.olabel);
-            if (mode == WeightMode::Quantized) {
-                long idx = 0;
-                if (step > 0.0f)
-                    idx = std::lround((a.weight - minW) / step);
-                c.payload_.push_back(
-                    std::uint8_t(std::clamp<long>(idx, 0, 255)));
-            } else {
-                std::uint8_t raw[sizeof(float)];
-                std::memcpy(raw, &a.weight, sizeof(float));
-                c.payload_.insert(c.payload_.end(), raw,
-                                  raw + sizeof(float));
-            }
+            std::uint8_t raw[sizeof(float)];
+            std::memcpy(raw, &a.weight, sizeof(float));
+            c.payload_.insert(c.payload_.end(), raw,
+                              raw + sizeof(float));
         }
     }
     ASR_ASSERT(c.payload_.size() <=
@@ -146,130 +100,10 @@ CompactArcs::decodeState(StateId s, ArcEntry *out) const
         a.ilabel = i < nonEps ? PhonemeId(readVarint(p))
                               : kEpsilonLabel;
         a.olabel = WordId(readVarint(p));
-        if (mode_ == WeightMode::Quantized) {
-            a.weight = table[*p++];
-        } else {
-            std::memcpy(&a.weight, p, sizeof(float));
-            p += sizeof(float);
-        }
+        std::memcpy(&a.weight, p, sizeof(float));
+        p += sizeof(float);
     }
     return n;
-}
-
-CompactArcs
-CompactArcs::load(std::vector<GroupHeader> headers,
-                  std::vector<std::uint8_t> payload, WeightMode mode,
-                  std::span<const float> weight_table,
-                  StateId num_states_hint)
-{
-    if (mode != WeightMode::Exact && mode != WeightMode::Quantized)
-        fatal("compact arcs: unknown weight mode %u", unsigned(mode));
-    if (headers.size() != std::size_t(num_states_hint) + 1)
-        fatal("compact arcs: %zu group headers for %u states",
-              headers.size(), num_states_hint);
-
-    // Injectable allocation failure: a model too big for the
-    // satellite's RAM must die with a diagnostic naming the load,
-    // not corrupt state or segfault later.
-    if (fault::failAlloc("wfst.compact.load.alloc"))
-        fatal("compact arcs: cannot allocate %zu header + %zu "
-              "payload bytes (wfst.compact.load.alloc)",
-              headers.size() * sizeof(GroupHeader), payload.size());
-
-    CompactArcs c;
-    c.mode_ = mode;
-    if (mode == WeightMode::Quantized) {
-        if (weight_table.size() != c.table.size())
-            fatal("compact arcs: dequant table has %zu entries, "
-                  "want %zu",
-                  weight_table.size(), c.table.size());
-        float lo = weight_table[0], hi = weight_table[0];
-        for (std::size_t i = 0; i < c.table.size(); ++i) {
-            if (!std::isfinite(weight_table[i]))
-                fatal("compact arcs: non-finite dequant table entry");
-            c.table[i] = weight_table[i];
-            lo = std::min(lo, weight_table[i]);
-            hi = std::max(hi, weight_table[i]);
-        }
-        c.maxError = (hi - lo) / 255.0f * 0.5f;
-    } else if (!weight_table.empty()) {
-        fatal("compact arcs: dequant table present in exact mode");
-    }
-    c.headers_ = std::move(headers);
-    c.payload_ = std::move(payload);
-
-    // Full structural walk: every group must decode to exactly the
-    // byte span its offsets claim, with in-range fields.  After this,
-    // the unchecked hot-path decoder is safe on this instance.
-    const GroupHeader &sentinel = c.headers_.back();
-    if (sentinel.numNonEps != 0 || sentinel.numEps != 0)
-        fatal("compact arcs: sentinel header has arc counts");
-    if (sentinel.offset != c.payload_.size())
-        fatal("compact arcs: sentinel offset %u != payload size %zu",
-              sentinel.offset, c.payload_.size());
-    if (!c.headers_.empty() && c.headers_[0].offset != 0)
-        fatal("compact arcs: first group offset %u != 0",
-              c.headers_[0].offset);
-    const std::uint8_t *base = c.payload_.data();
-    for (StateId s = 0; s < num_states_hint; ++s) {
-        const GroupHeader &h = c.headers_[s];
-        const GroupHeader &nh = c.headers_[s + 1];
-        if (nh.offset < h.offset || nh.offset > c.payload_.size())
-            fatal("compact arcs: group %u spans [%u, %u) outside "
-                  "payload of %zu bytes",
-                  s, h.offset, nh.offset, c.payload_.size());
-        const std::uint8_t *p = base + h.offset;
-        const std::uint8_t *end = base + nh.offset;
-        const std::uint32_t nonEps = h.numNonEps;
-        const std::uint32_t total = nonEps + h.numEps;
-        for (std::uint32_t i = 0; i < total; ++i) {
-            std::uint64_t v;
-            if (!tryReadVarint(p, end, v))
-                fatal("compact arcs: truncated dest in group %u", s);
-            const std::int64_t dest =
-                std::int64_t(s) + unzigzag(v);
-            if (dest < 0 || dest >= std::int64_t(num_states_hint))
-                fatal("compact arcs: arc dest %lld out of range in "
-                      "group %u",
-                      static_cast<long long>(dest), s);
-            if (i < nonEps) {
-                if (!tryReadVarint(p, end, v))
-                    fatal("compact arcs: truncated ilabel in "
-                          "group %u",
-                          s);
-                if (v == kEpsilonLabel ||
-                    v > std::numeric_limits<PhonemeId>::max())
-                    fatal("compact arcs: bad non-eps ilabel %llu in "
-                          "group %u",
-                          static_cast<unsigned long long>(v), s);
-            }
-            if (!tryReadVarint(p, end, v))
-                fatal("compact arcs: truncated olabel in group %u",
-                      s);
-            if (v > std::numeric_limits<WordId>::max())
-                fatal("compact arcs: olabel %llu overflows in "
-                      "group %u",
-                      static_cast<unsigned long long>(v), s);
-            if (mode == WeightMode::Quantized) {
-                if (p == end)
-                    fatal("compact arcs: truncated weight in "
-                          "group %u",
-                          s);
-                ++p;
-            } else {
-                if (end - p < std::ptrdiff_t(sizeof(float)))
-                    fatal("compact arcs: truncated weight in "
-                          "group %u",
-                          s);
-                p += sizeof(float);
-            }
-        }
-        if (p != end)
-            fatal("compact arcs: group %u has %zu trailing bytes", s,
-                  std::size_t(end - p));
-        c.totalArcs += total;
-    }
-    return c;
 }
 
 } // namespace asr::wfst

@@ -20,8 +20,7 @@
  *     dest         zigzag(dest - src) LEB128       always
  *     ilabel       LEB128                          non-eps arcs only
  *     olabel       LEB128                          always
- *     weight       u8 index -> dequant table       quantized mode
- *                  raw f32 (little-endian)         exact mode
+ *     weight       raw f32 (little-endian)         always
  *
  * Epsilon arcs drop the ilabel byte entirely: the group header's
  * counts say which records are epsilon (they come last), so the
@@ -30,29 +29,25 @@
  * real LVCSR compilations) exhibit: most arcs land within a small
  * window of their source, so the delta fits one LEB128 byte.
  *
- * Weight modes:
- *  - Exact: weights round-trip bit-for-bit; compact-graph decode is
- *    bitwise identical to raw-graph decode.
- *  - Quantized: weights snap to a 256-entry linear dequant table
- *    built from the graph's weight range; each arc weight moves by
- *    at most maxWeightError() (= step/2), which bounds the per-frame
- *    path-score drift the equivalence sweep checks.
+ * Weights are stored exactly, so they round-trip bit-for-bit and
+ * compact-graph decode is bitwise identical to raw-graph decode.
  *
- * A CompactArcs is immutable after build()/load and is attached to a
- * Wfst (Wfst::attachCompactArcs) so the decoders can pick either
- * layout per DecoderConfig.  Group decode is strictly sequential
- * (varints have no random access); the search decodes a whole
- * state's group into caller scratch at token-expansion time, which it
- * was about to walk in full anyway.
+ * build() is the only producer: a CompactArcs is built in memory from
+ * a Wfst's raw arcs and is never serialized (saveWfst leaves it out;
+ * rebuild it after loading).  It is immutable after build() and is
+ * attached to a Wfst (Wfst::attachCompactArcs) so the decoders can
+ * pick either layout per DecoderConfig.  Group decode is strictly
+ * sequential (varints have no random access); the search decodes a
+ * whole state's group into caller scratch at token-expansion time,
+ * which it was about to walk in full anyway.
  */
 
 #ifndef ASR_WFST_COMPACT_HH
 #define ASR_WFST_COMPACT_HH
 
 #include <algorithm>
-#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/compiler.hh"
@@ -62,11 +57,10 @@ namespace asr::wfst {
 
 class Wfst;
 
-/** How CompactArcs stores arc weights. */
+/** How CompactArcs stores arc weights: raw f32 is the only mode. */
 enum class WeightMode : std::uint8_t
 {
-    Exact = 0,      //!< raw f32; bitwise round trip
-    Quantized = 1,  //!< u8 index into a 256-entry linear dequant table
+    Exact = 0,  //!< raw f32; bitwise round trip
 };
 
 /** Compressed, immutable arc array; see the file comment for format. */
@@ -88,22 +82,10 @@ class CompactArcs
 
     /**
      * Encode @p graph's arc array.  Fatal if a group's payload would
-     * overflow the u32 offsets (no realistic graph does).
+     * overflow the u32 offsets (no realistic graph does).  The
+     * WeightMode argument is unused: Exact is the only mode.
      */
     static CompactArcs build(const Wfst &graph, WeightMode mode);
-
-    /**
-     * Reassemble from deserialized parts (io.cc).  Runs the full
-     * structural validation -- offsets monotone and in bounds, every
-     * group decoding to exactly its byte span, destinations within
-     * @p num_states_hint -- and is fatal on any violation, matching
-     * the malformed-container contract of loadWfst.
-     */
-    static CompactArcs load(std::vector<GroupHeader> headers,
-                            std::vector<std::uint8_t> payload,
-                            WeightMode mode,
-                            std::span<const float> weight_table,
-                            StateId num_states_hint);
 
     /** Number of states (groups). */
     StateId
@@ -115,25 +97,14 @@ class CompactArcs
     /** Total number of encoded arcs. */
     std::uint64_t numArcs() const { return totalArcs; }
 
-    WeightMode weightMode() const { return mode_; }
-    bool quantized() const { return mode_ == WeightMode::Quantized; }
-
-    /**
-     * Largest absolute weight change quantization introduced on any
-     * single arc (0 in exact mode): half a dequant-table step.
-     */
-    float maxWeightError() const { return maxError; }
-
     /** Encoded payload bytes (records only, headers excluded). */
     std::size_t payloadBytes() const { return payload_.size(); }
 
-    /** Headers + payload + dequant table, in bytes. */
+    /** Headers + payload, in bytes. */
     std::size_t
     sizeBytes() const
     {
-        return headers_.size() * sizeof(GroupHeader) +
-               payload_.size() +
-               (quantized() ? table.size() * sizeof(float) : 0);
+        return headers_.size() * sizeof(GroupHeader) + payload_.size();
     }
 
     /** Mean encoded bytes per arc (diagnostics, bench JSON). */
@@ -188,28 +159,11 @@ class CompactArcs
             ASR_PREFETCH(p + 64u * l);
     }
 
-    /** Serialization accessors (io.cc). */
-    std::span<const GroupHeader>
-    headerArray() const
-    {
-        return headers_;
-    }
-    std::span<const std::uint8_t> payload() const { return payload_; }
-    std::span<const float>
-    weightTable() const
-    {
-        return quantized() ? std::span<const float>(table)
-                           : std::span<const float>();
-    }
-
   private:
     // numStates + 1 entries; the sentinel's offset is payloadBytes()
     // so groupBytes(s) is one subtraction for every state.
     std::vector<GroupHeader> headers_;
     std::vector<std::uint8_t> payload_;
-    std::array<float, 256> table{};  //!< dequant table (quantized mode)
-    WeightMode mode_ = WeightMode::Exact;
-    float maxError = 0.0f;
     std::uint64_t totalArcs = 0;
 };
 

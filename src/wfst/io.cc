@@ -1,20 +1,16 @@
 #include "wfst/io.hh"
 
-#include <array>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
 #include "common/logging.hh"
-#include "wfst/compact.hh"
 
 namespace asr::wfst {
 
 namespace {
 
 constexpr std::uint32_t kMagic = 0x57525341;  // "ASRW" little-endian
-constexpr std::uint32_t kVersionPlain = 1;    //!< no compact section
-constexpr std::uint32_t kVersionCompact = 2;  //!< compact section
+constexpr std::uint32_t kVersion = 1;
 
 struct Header
 {
@@ -24,9 +20,7 @@ struct Header
     std::uint32_t numArcs;
     std::uint32_t initial;
     std::uint8_t hasFinals;
-    std::uint8_t hasCompact;   //!< v1 wrote this as zero padding
-    std::uint8_t weightMode;   //!< WeightMode when hasCompact
-    std::uint8_t pad;
+    std::uint8_t reserved[3];  //!< always written and read as zero
 };
 
 static_assert(sizeof(Header) == 24, "header layout must be stable");
@@ -82,52 +76,23 @@ saveWfst(const Wfst &w, const std::string &path)
     if (!f)
         fatal("cannot open '%s' for writing", path.c_str());
 
-    const CompactArcs *compact = w.compactArcs();
-
     Header h{};
     h.magic = kMagic;
-    h.version = compact ? kVersionCompact : kVersionPlain;
+    h.version = kVersion;
     h.numStates = w.numStates();
     h.numArcs = w.numArcs();
     h.initial = w.initialState();
     h.hasFinals = w.hasFinalStates() ? 1 : 0;
-    h.hasCompact = compact ? 1 : 0;
-    h.weightMode =
-        compact ? std::uint8_t(compact->weightMode()) : 0;
-    if (compact)
-        ASR_ASSERT(compact->numStates() == w.numStates(),
-                   "attached CompactArcs covers %u states, graph "
-                   "has %u",
-                   compact->numStates(), w.numStates());
 
     const auto &states = w.stateArray();
     const auto &arcs = w.arcArray();
     const auto &finals = w.finalArray();
-
-    std::uint64_t payload_bytes = 0;
-    std::span<const CompactArcs::GroupHeader> groups;
-    std::span<const std::uint8_t> payload;
-    std::span<const float> table;
-    if (compact) {
-        payload_bytes = compact->payloadBytes();
-        groups = compact->headerArray();
-        payload = compact->payload();
-        table = compact->weightTable();
-    }
 
     std::uint32_t crc = 0;
     crc = crc32(states.data(), states.size() * sizeof(StateEntry), crc);
     crc = crc32(arcs.data(), arcs.size() * sizeof(ArcEntry), crc);
     if (h.hasFinals)
         crc = crc32(finals.data(), finals.size() * sizeof(LogProb), crc);
-    if (compact) {
-        crc = crc32(&payload_bytes, sizeof(payload_bytes), crc);
-        crc = crc32(groups.data(),
-                    groups.size() * sizeof(CompactArcs::GroupHeader),
-                    crc);
-        crc = crc32(payload.data(), payload.size(), crc);
-        crc = crc32(table.data(), table.size() * sizeof(float), crc);
-    }
 
     writeAll(f.get(), &h, sizeof(h), path);
     writeAll(f.get(), states.data(), states.size() * sizeof(StateEntry),
@@ -136,15 +101,6 @@ saveWfst(const Wfst &w, const std::string &path)
     if (h.hasFinals)
         writeAll(f.get(), finals.data(), finals.size() * sizeof(LogProb),
                  path);
-    if (compact) {
-        writeAll(f.get(), &payload_bytes, sizeof(payload_bytes), path);
-        writeAll(f.get(), groups.data(),
-                 groups.size() * sizeof(CompactArcs::GroupHeader),
-                 path);
-        writeAll(f.get(), payload.data(), payload.size(), path);
-        writeAll(f.get(), table.data(), table.size() * sizeof(float),
-                 path);
-    }
     writeAll(f.get(), &crc, sizeof(crc), path);
 }
 
@@ -159,31 +115,19 @@ loadWfst(const std::string &path)
     readAll(f.get(), &h, sizeof(h), path);
     if (h.magic != kMagic)
         fatal("'%s' is not a WFST container (bad magic)", path.c_str());
-    if (h.version != kVersionPlain && h.version != kVersionCompact)
+    if (h.version != kVersion)
         fatal("'%s': unsupported container version %u", path.c_str(),
               h.version);
     if (h.hasFinals > 1)
         fatal("'%s': corrupt header (hasFinals = %u)", path.c_str(),
               h.hasFinals);
-    // v1 wrote the three trailing bytes as zero padding; v2 uses the
-    // first two as flags.  Anything else is a corrupt header.
-    if (h.version == kVersionPlain && h.hasCompact != 0)
-        fatal("'%s': corrupt header (v1 with nonzero padding)",
-              path.c_str());
-    if (h.hasCompact > 1)
-        fatal("'%s': corrupt header (hasCompact = %u)", path.c_str(),
-              h.hasCompact);
-    if (h.weightMode > std::uint8_t(WeightMode::Quantized) ||
-        (h.hasCompact == 0 && h.weightMode != 0))
-        fatal("'%s': corrupt header (weightMode = %u)", path.c_str(),
-              h.weightMode);
-    if (h.pad != 0)
-        fatal("'%s': corrupt header (nonzero padding)", path.c_str());
+    for (const std::uint8_t b : h.reserved)
+        if (b != 0)
+            fatal("'%s': corrupt header (nonzero reserved byte)",
+                  path.c_str());
     if (h.numStates > 0 && h.initial >= h.numStates)
         fatal("'%s': corrupt header (initial state %u of %u)",
               path.c_str(), h.initial, h.numStates);
-    const bool quantized =
-        h.weightMode == std::uint8_t(WeightMode::Quantized);
 
     // Check the payload the header promises against the actual file
     // size before allocating anything: a malformed or truncated
@@ -192,34 +136,13 @@ loadWfst(const std::string &path)
     std::fseek(f.get(), 0, SEEK_END);
     const long file_size = std::ftell(f.get());
     std::fseek(f.get(), long(sizeof(Header)), SEEK_SET);
-    const std::uint64_t arrays_end =
+    const std::uint64_t expected =
         sizeof(Header) +
         std::uint64_t(h.numStates) * sizeof(StateEntry) +
         std::uint64_t(h.numArcs) * sizeof(ArcEntry) +
         (h.hasFinals ? std::uint64_t(h.numStates) * sizeof(LogProb)
-                     : 0);
-    std::uint64_t compact_payload = 0;
-    std::uint64_t expected = arrays_end + sizeof(std::uint32_t);
-    if (h.hasCompact) {
-        // The compact payload length lives in the file right after
-        // the flat arrays; peek it so the whole-file size check (and
-        // with it every allocation below) still happens up front.
-        if (file_size < 0 ||
-            std::uint64_t(file_size) <
-                arrays_end + sizeof(compact_payload))
-            fatal("'%s': truncated compact-arcs section",
-                  path.c_str());
-        std::fseek(f.get(), long(arrays_end), SEEK_SET);
-        readAll(f.get(), &compact_payload, sizeof(compact_payload),
-                path);
-        std::fseek(f.get(), long(sizeof(Header)), SEEK_SET);
-        expected = arrays_end + sizeof(compact_payload) +
-                   (std::uint64_t(h.numStates) + 1) *
-                       sizeof(CompactArcs::GroupHeader) +
-                   compact_payload +
-                   (quantized ? 256 * sizeof(float) : 0) +
-                   sizeof(std::uint32_t);
-    }
+                     : 0) +
+        sizeof(std::uint32_t);
     if (file_size < 0 || std::uint64_t(file_size) != expected)
         fatal("'%s': header promises %llu bytes but the file has %ld "
               "(truncated or corrupt container)",
@@ -239,27 +162,6 @@ loadWfst(const std::string &path)
                 path);
     }
 
-    std::vector<CompactArcs::GroupHeader> groups;
-    std::vector<std::uint8_t> compact_bytes;
-    std::vector<float> table;
-    if (h.hasCompact) {
-        std::uint64_t stored_payload = 0;
-        readAll(f.get(), &stored_payload, sizeof(stored_payload),
-                path);
-        groups.resize(std::size_t(h.numStates) + 1);
-        compact_bytes.resize(std::size_t(compact_payload));
-        readAll(f.get(), groups.data(),
-                groups.size() * sizeof(CompactArcs::GroupHeader),
-                path);
-        readAll(f.get(), compact_bytes.data(), compact_bytes.size(),
-                path);
-        if (quantized) {
-            table.resize(256);
-            readAll(f.get(), table.data(),
-                    table.size() * sizeof(float), path);
-        }
-    }
-
     std::uint32_t stored = 0;
     readAll(f.get(), &stored, sizeof(stored), path);
     std::uint32_t crc = 0;
@@ -267,26 +169,11 @@ loadWfst(const std::string &path)
     crc = crc32(arcs.data(), arcs.size() * sizeof(ArcEntry), crc);
     if (h.hasFinals)
         crc = crc32(finals.data(), finals.size() * sizeof(LogProb), crc);
-    if (h.hasCompact) {
-        crc = crc32(&compact_payload, sizeof(compact_payload), crc);
-        crc = crc32(groups.data(),
-                    groups.size() * sizeof(CompactArcs::GroupHeader),
-                    crc);
-        crc = crc32(compact_bytes.data(), compact_bytes.size(), crc);
-        crc = crc32(table.data(), table.size() * sizeof(float), crc);
-    }
     if (crc != stored)
         fatal("'%s': checksum mismatch (corrupted file)", path.c_str());
 
-    Wfst w = loadWfstRaw(std::move(states), std::move(arcs),
-                         std::move(finals), h.initial);
-    if (h.hasCompact)
-        w.attachCompactArcs(std::make_shared<const CompactArcs>(
-            CompactArcs::load(std::move(groups),
-                              std::move(compact_bytes),
-                              WeightMode(h.weightMode), table,
-                              h.numStates)));
-    return w;
+    return loadWfstRaw(std::move(states), std::move(arcs),
+                       std::move(finals), h.initial);
 }
 
 } // namespace asr::wfst

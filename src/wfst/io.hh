@@ -2,30 +2,15 @@
  * @file
  * Binary serialization of WFSTs.
  *
- * Format (little-endian):
+ * Format (little-endian), container version 1:
  *   magic "ASRW" | u32 version | u32 numStates | u32 numArcs |
- *   u32 initial | u8 hasFinals | u8 hasCompact | u8 weightMode |
- *   u8 pad |
+ *   u32 initial | u8 hasFinals | u8 reserved[3] (zero) |
  *   StateEntry[numStates] | ArcEntry[numArcs] |
- *   (LogProb[numStates] if hasFinals) |
- *   (compact-arcs section if hasCompact) | u32 crc32(payload)
+ *   (LogProb[numStates] if hasFinals) | u32 crc32(payload)
  *
- * Version history:
- *  - v1: no compact section; the three flag bytes after hasFinals
- *    were zero padding.  v1 files load unchanged (their pad bytes
- *    read back as hasCompact = 0).
- *  - v2: optional compact-arcs section (wfst/compact.hh), announced
- *    by hasCompact = 1 with weightMode naming the WeightMode:
- *      u64 payloadBytes | GroupHeader[numStates + 1] |
- *      u8 payload[payloadBytes] |
- *      (f32 dequantTable[256] if weightMode == Quantized)
- *    The section participates in the CRC, the pre-allocation
- *    file-size check, and a full structural decode validation
- *    (CompactArcs::load) before the graph is returned.
- *
- * saveWfst emits v1 when the Wfst has no CompactArcs attached, so
- * graphs that don't opt into compression keep producing bytewise
- * v1 containers.
+ * Version 1 is the only version: the loader rejects every other.  An
+ * attached CompactArcs (wfst/compact.hh) is never written; rebuild it
+ * from the loaded arcs with CompactArcs::build.
  */
 
 #ifndef ASR_WFST_IO_HH
@@ -38,16 +23,15 @@
 namespace asr::wfst {
 
 /**
- * Serialize @p w to @p path (v2 when a CompactArcs is attached, v1
- * otherwise).  fatal() on I/O errors.
+ * Serialize @p w's arrays to @p path, leaving out any attached
+ * CompactArcs.  fatal() on I/O errors.
  */
 void saveWfst(const Wfst &w, const std::string &path);
 
 /**
- * Load a WFST from @p path (container v1 or v2).  A v2 compact-arcs
- * section is validated and attached to the returned Wfst.  fatal()
- * on I/O errors, bad magic, version mismatch, malformed sections or
- * checksum failure.
+ * Load a WFST from @p path.  The returned Wfst carries no
+ * CompactArcs.  fatal() on I/O errors, bad magic, an unsupported
+ * version, a malformed header or checksum failure.
  */
 Wfst loadWfst(const std::string &path);
 

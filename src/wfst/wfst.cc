@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "wfst/compact.hh"
 
 namespace asr::wfst {
 
@@ -56,6 +57,20 @@ Wfst::validate() const
     ASR_ASSERT(covered == arcs_.size(),
                "arc array has %zu entries but states cover %llu",
                arcs_.size(), static_cast<unsigned long long>(covered));
+}
+
+void
+Wfst::attachCompactArcs(std::shared_ptr<const CompactArcs> compact)
+{
+    if (compact)
+        ASR_ASSERT(compact->numStates() == numStates() &&
+                       compact->numArcs() == numArcs(),
+                   "CompactArcs encodes %u states and %llu arcs, the "
+                   "graph has %u and %u",
+                   compact->numStates(),
+                   static_cast<unsigned long long>(compact->numArcs()),
+                   numStates(), numArcs());
+    compact_ = std::move(compact);
 }
 
 Wfst

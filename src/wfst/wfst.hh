@@ -154,29 +154,21 @@ class Wfst
 
     /**
      * Attach a compressed encoding of this graph's arc array (see
-     * wfst/compact.hh).  Setup-time only: callers build or load the
-     * CompactArcs once and attach it before handing the Wfst to any
-     * decoder; DecoderConfig::useCompactArcs then selects which
-     * layout the search walks.  Pass nullptr to detach.
+     * wfst/compact.hh).  Setup-time only: callers build the
+     * CompactArcs once (CompactArcs::build) and attach it before
+     * handing the Wfst to any decoder; DecoderConfig::useCompactArcs
+     * then selects which layout the search walks.  Panics unless the
+     * encoding's state and arc counts equal this graph's, so another
+     * graph's encoding is never walked in place of this one's arcs.
+     * Pass nullptr to detach.
      */
-    void
-    attachCompactArcs(std::shared_ptr<const CompactArcs> compact)
-    {
-        compact_ = std::move(compact);
-    }
+    void attachCompactArcs(std::shared_ptr<const CompactArcs> compact);
 
     /** @return true when a compact arc encoding is attached. */
     bool hasCompactArcs() const { return compact_ != nullptr; }
 
     /** The attached compact encoding, or nullptr. */
     const CompactArcs *compactArcs() const { return compact_.get(); }
-
-    /** Shared handle to the attached compact encoding (io.cc). */
-    const std::shared_ptr<const CompactArcs> &
-    compactArcsHandle() const
-    {
-        return compact_;
-    }
 
   private:
     friend class WfstBuilder;

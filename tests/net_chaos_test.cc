@@ -43,7 +43,6 @@
 #include "net/client.hh"
 #include "net/overload.hh"
 #include "net/server.hh"
-#include "wfst/compact.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
@@ -181,7 +180,6 @@ TEST(FaultRegistry, DisarmedSeamsAreTransparent)
     EXPECT_FALSE(fault::armed());
     EXPECT_EQ(fault::failErrno("net.server.recv", {EINTR, EAGAIN}), 0);
     EXPECT_EQ(fault::shortenIo("net.server.recv.short", 4096), 4096u);
-    EXPECT_FALSE(fault::failAlloc("wfst.compact.load.alloc"));
     fault::stall("api.engine.tick.stall");  // must not sleep
 }
 
@@ -223,7 +221,6 @@ TEST(FaultRegistry, RetryableOnlyNeverPicksDestructiveErrnos)
             << e;
         // A seam whose only candidates are destructive never fires.
         EXPECT_EQ(fault::failErrno("net.client.send", {EPIPE}), 0);
-        EXPECT_FALSE(fault::failAlloc("wfst.compact.load.alloc"));
     }
 }
 
@@ -293,8 +290,7 @@ TEST(FaultRegistry, CanonicalSeamsArePreRegistered)
           "net.server.send.short", "net.server.wake",
           "net.client.connect", "net.client.recv",
           "net.client.recv.short", "net.client.send",
-          "net.client.send.short", "wfst.compact.load.alloc",
-          "api.engine.tick.stall"})
+          "net.client.send.short", "api.engine.tick.stall"})
         EXPECT_TRUE(names.count(want)) << want;
 }
 
@@ -540,28 +536,10 @@ TEST_F(NetChaos, EveryInProcessFaultPointFiresUnderTargetedChaos)
         covered.insert("net.server.wake");
     }
 
-    // Completeness: a newly registered seam must be added to this
-    // test (or, if fatal by design, to the death-test allowlist).
-    covered.insert("wfst.compact.load.alloc");  // proven by death test
+    // Completeness: a newly registered seam must be added to this test.
     for (const auto &p : fault::points())
         EXPECT_TRUE(covered.count(p.name))
             << p.name << " is not covered by the chaos suite";
-}
-
-TEST(FaultDeath, CompactLoadAllocFailureDiesWithPointName)
-{
-    // A sentinel-only compact image: structurally valid, so the only
-    // way to die is the injected allocation failure.
-    const auto load_under_alloc_failure = [] {
-        fault::Config cfg;
-        cfg.rate = 1.0;
-        cfg.only = {"wfst.compact.load.alloc"};
-        fault::ScopedArm armed(cfg);
-        (void)wfst::CompactArcs::load({{0, 0, 0}}, {},
-                                      wfst::WeightMode::Exact, {}, 0);
-    };
-    EXPECT_DEATH(load_under_alloc_failure(),
-                 "wfst\\.compact\\.load\\.alloc");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,12 @@
 /**
  * @file
- * Tests for the compressed arc layout (wfst/compact.hh): exact-mode
- * round trips must reproduce the raw arc array bit-for-bit in layout
- * order, quantized weights must stay within the advertised dequant
- * bound, and CompactArcs::load must reject every class of malformed
- * input (the compact twin of the wfst_io fuzz suite) -- that
- * validation is what licenses the unchecked varint reads on the
- * decode hot path.
+ * Tests for the compressed arc layout (wfst/compact.hh): build() must
+ * reproduce the raw arc array bit-for-bit in layout order across
+ * generator shapes, its group offsets must tile the payload, and it
+ * must undercut the raw layout's size.  build() is the only producer
+ * of the unchecked records the decode hot path reads.
  */
 
-#include <cmath>
-#include <cstring>
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,11 +31,11 @@ testGraph(StateId states, std::uint64_t seed, double eps = 0.2)
     return generateWfst(cfg);
 }
 
-/** Decode every state and compare against the raw layout. */
+/** Build @p g's encoding, decode every state, compare bitwise. */
 void
-expectDecodesEqual(const Wfst &g, const CompactArcs &c,
-                   bool exact_weights)
+expectDecodesEqual(const Wfst &g)
 {
+    const CompactArcs c = CompactArcs::build(g, WeightMode::Exact);
     ASSERT_EQ(c.numStates(), g.numStates());
     ASSERT_EQ(c.numArcs(), g.numArcs());
     std::vector<ArcEntry> buf;
@@ -58,14 +53,8 @@ expectDecodesEqual(const Wfst &g, const CompactArcs &c,
                 << "state " << s << " arc " << i;
             ASSERT_EQ(buf[i].olabel, raw[i].olabel)
                 << "state " << s << " arc " << i;
-            if (exact_weights)
-                ASSERT_EQ(buf[i].weight, raw[i].weight)
-                    << "state " << s << " arc " << i;
-            else
-                ASSERT_LE(
-                    std::abs(buf[i].weight - raw[i].weight),
-                    c.maxWeightError() + 1e-6f)
-                    << "state " << s << " arc " << i;
+            ASSERT_EQ(buf[i].weight, raw[i].weight)
+                << "state " << s << " arc " << i;
         }
     }
 }
@@ -74,23 +63,26 @@ expectDecodesEqual(const Wfst &g, const CompactArcs &c,
 
 TEST(WfstCompact, ExactRoundTripIsBitwise)
 {
-    const Wfst g = testGraph(700, 11);
-    const CompactArcs c = CompactArcs::build(g, WeightMode::Exact);
-    EXPECT_EQ(c.weightMode(), WeightMode::Exact);
-    EXPECT_FALSE(c.quantized());
-    EXPECT_EQ(c.maxWeightError(), 0.0f);
-    expectDecodesEqual(g, c, true);
-}
+    expectDecodesEqual(testGraph(700, 11));
 
-TEST(WfstCompact, QuantizedWeightsWithinBound)
-{
-    const Wfst g = testGraph(700, 13);
-    const CompactArcs c =
-        CompactArcs::build(g, WeightMode::Quantized);
-    EXPECT_TRUE(c.quantized());
-    EXPECT_GT(c.maxWeightError(), 0.0f);
-    // Structure (dests, labels, order) is never quantized.
-    expectDecodesEqual(g, c, false);
+    // Random generator shapes: sizes, epsilon mixes and topologies.
+    Rng rng(0xc0de);
+    for (unsigned trial = 0; trial < 16; ++trial) {
+        GeneratorConfig cfg;
+        cfg.numStates = StateId(2 + rng.below(600));
+        cfg.numPhonemes = std::uint32_t(1 + rng.below(64));
+        cfg.numWords = std::uint32_t(1 + rng.below(500));
+        cfg.epsilonFraction = rng.uniform(0.0, 0.4);
+        cfg.selfLoopProb = rng.uniform(0.0, 1.0);
+        cfg.forwardEpsilonOnly = rng.bernoulli(0.5);
+        cfg.wordLabelProb = rng.uniform(0.0, 0.5);
+        cfg.seed = rng.next();
+        // Unused draw, kept so this seed keeps yielding the same 16
+        // shapes.
+        (void)rng.bernoulli(0.5);
+        SCOPED_TRACE(trial);
+        expectDecodesEqual(generateWfst(cfg));
+    }
 }
 
 TEST(WfstCompact, GroupOffsetsTileThePayload)
@@ -106,37 +98,14 @@ TEST(WfstCompact, GroupOffsetsTileThePayload)
 
 TEST(WfstCompact, CompressesBelowRawLayout)
 {
-    // The whole point: headers + payload (+ table) must undercut the
-    // 16 B/arc raw array by a wide margin on a generator graph.
+    // The whole point: headers + payload must undercut the 16 B/arc
+    // raw array on a generator graph.
     const Wfst g = testGraph(2000, 19);
     const CompactArcs exact =
         CompactArcs::build(g, WeightMode::Exact);
-    const CompactArcs quant =
-        CompactArcs::build(g, WeightMode::Quantized);
     const std::size_t raw =
         std::size_t(g.numArcs()) * sizeof(ArcEntry);
     EXPECT_LT(exact.sizeBytes(), raw);
-    EXPECT_LT(quant.sizeBytes(), exact.sizeBytes());
-    EXPECT_LT(quant.bytesPerArc(), 8.0);
-}
-
-TEST(WfstCompact, LoadRevalidatesBuiltPayload)
-{
-    // Round trip through the deserialization entry point: load() of
-    // build()'s own parts must accept and reproduce them.
-    const Wfst g = testGraph(400, 23);
-    for (const WeightMode mode :
-         {WeightMode::Exact, WeightMode::Quantized}) {
-        const CompactArcs c = CompactArcs::build(g, mode);
-        const auto headers = c.headerArray();
-        const auto payload = c.payload();
-        const CompactArcs loaded = CompactArcs::load(
-            {headers.begin(), headers.end()},
-            {payload.begin(), payload.end()}, mode, c.weightTable(),
-            g.numStates());
-        EXPECT_EQ(loaded.numArcs(), g.numArcs());
-        expectDecodesEqual(g, loaded, mode == WeightMode::Exact);
-    }
 }
 
 TEST(WfstCompact, EmptyGraph)
@@ -148,189 +117,4 @@ TEST(WfstCompact, EmptyGraph)
     EXPECT_EQ(c.numArcs(), 0u);
     EXPECT_EQ(c.payloadBytes(), 0u);
     EXPECT_EQ(c.groupBytes(0), 0u);
-}
-
-namespace {
-
-/** Parts of a built CompactArcs, mutable for hostile-input tests. */
-struct Parts
-{
-    std::vector<CompactArcs::GroupHeader> headers;
-    std::vector<std::uint8_t> payload;
-    std::vector<float> table;
-    WeightMode mode = WeightMode::Exact;
-    StateId numStates = 0;
-
-    CompactArcs
-    load() const
-    {
-        return CompactArcs::load(headers, payload, mode, table,
-                                 numStates);
-    }
-};
-
-Parts
-builtParts(WeightMode mode)
-{
-    const Wfst g = testGraph(120, 29);
-    const CompactArcs c = CompactArcs::build(g, mode);
-    Parts p;
-    p.headers = {c.headerArray().begin(), c.headerArray().end()};
-    p.payload = {c.payload().begin(), c.payload().end()};
-    p.table = {c.weightTable().begin(), c.weightTable().end()};
-    p.mode = mode;
-    p.numStates = g.numStates();
-    return p;
-}
-
-} // namespace
-
-TEST(WfstCompactDeath, RejectsHeaderCountMismatch)
-{
-    Parts p = builtParts(WeightMode::Exact);
-    p.headers.pop_back();
-    EXPECT_EXIT(p.load(), ::testing::ExitedWithCode(1),
-                "group headers for");
-}
-
-TEST(WfstCompactDeath, RejectsSentinelWithArcCounts)
-{
-    Parts p = builtParts(WeightMode::Exact);
-    p.headers.back().numEps = 1;
-    EXPECT_EXIT(p.load(), ::testing::ExitedWithCode(1),
-                "sentinel header has arc counts");
-}
-
-TEST(WfstCompactDeath, RejectsSentinelOffsetMismatch)
-{
-    Parts p = builtParts(WeightMode::Exact);
-    p.headers.back().offset -= 1;
-    EXPECT_EXIT(p.load(), ::testing::ExitedWithCode(1),
-                "sentinel offset");
-}
-
-TEST(WfstCompactDeath, RejectsTruncatedPayload)
-{
-    // Chop the tail and fix the sentinel up so only the per-group
-    // decode walk can notice the record is cut short.
-    Parts p = builtParts(WeightMode::Exact);
-    ASSERT_GT(p.payload.size(), 2u);
-    p.payload.resize(p.payload.size() - 2);
-    p.headers.back().offset = std::uint32_t(p.payload.size());
-    EXPECT_EXIT(p.load(), ::testing::ExitedWithCode(1), "truncated");
-}
-
-TEST(WfstCompactDeath, RejectsNonMonotoneOffsets)
-{
-    Parts p = builtParts(WeightMode::Exact);
-    // Find a state with a nonempty group and push its successor's
-    // offset before it.
-    for (std::size_t s = 0; s + 1 < p.headers.size(); ++s) {
-        if (p.headers[s + 1].offset > p.headers[s].offset &&
-            s + 2 < p.headers.size()) {
-            p.headers[s + 1].offset = 0;
-            p.headers[s + 1].numNonEps = 0;
-            p.headers[s + 1].numEps = 0;
-            break;
-        }
-    }
-    EXPECT_EXIT(p.load(), ::testing::ExitedWithCode(1), "compact arcs");
-}
-
-TEST(WfstCompactDeath, RejectsOutOfRangeDest)
-{
-    // Hand-crafted single-state graph whose one arc points at state
-    // 5: zigzag(+5) = 10, ilabel 3, olabel 0, f32 weight.
-    Parts p;
-    p.numStates = 1;
-    p.mode = WeightMode::Exact;
-    p.payload = {10, 3, 0};
-    const float w = 0.5f;
-    const std::uint8_t *wb =
-        reinterpret_cast<const std::uint8_t *>(&w);
-    p.payload.insert(p.payload.end(), wb, wb + sizeof(float));
-    p.headers = {{0, 1, 0},
-                 {std::uint32_t(p.payload.size()), 0, 0}};
-    EXPECT_EXIT(p.load(), ::testing::ExitedWithCode(1),
-                "out of range");
-}
-
-TEST(WfstCompactDeath, RejectsEpsilonIlabelOnNonEpsArc)
-{
-    // Same single-arc graph, but the non-eps record carries ilabel 0
-    // (= kEpsilonLabel): the layout contract forbids it.
-    Parts p;
-    p.numStates = 1;
-    p.mode = WeightMode::Exact;
-    p.payload = {0, 0, 0};  // dest delta 0, ilabel 0, olabel 0
-    const float w = 0.0f;
-    const std::uint8_t *wb =
-        reinterpret_cast<const std::uint8_t *>(&w);
-    p.payload.insert(p.payload.end(), wb, wb + sizeof(float));
-    p.headers = {{0, 1, 0},
-                 {std::uint32_t(p.payload.size()), 0, 0}};
-    EXPECT_EXIT(p.load(), ::testing::ExitedWithCode(1),
-                "bad non-eps ilabel");
-}
-
-TEST(WfstCompactDeath, RejectsTrailingBytesInGroup)
-{
-    Parts p = builtParts(WeightMode::Quantized);
-    // Append a stray byte to the last group.
-    p.payload.push_back(0);
-    p.headers.back().offset = std::uint32_t(p.payload.size());
-    EXPECT_EXIT(p.load(), ::testing::ExitedWithCode(1),
-                "trailing bytes");
-}
-
-TEST(WfstCompactDeath, RejectsBadDequantTable)
-{
-    Parts p = builtParts(WeightMode::Quantized);
-    p.table.resize(17);
-    EXPECT_EXIT(p.load(), ::testing::ExitedWithCode(1),
-                "dequant table has");
-
-    Parts q = builtParts(WeightMode::Quantized);
-    q.table[100] = std::numeric_limits<float>::quiet_NaN();
-    EXPECT_EXIT(q.load(), ::testing::ExitedWithCode(1),
-                "non-finite");
-}
-
-TEST(WfstCompactDeath, RejectsTableInExactMode)
-{
-    Parts p = builtParts(WeightMode::Exact);
-    p.table.assign(256, 0.0f);
-    EXPECT_EXIT(p.load(), ::testing::ExitedWithCode(1),
-                "table present in exact mode");
-}
-
-TEST(WfstCompactFuzz, RandomShapesRoundTripThroughLoad)
-{
-    // Property sweep mirroring WfstIoFuzz: random generator shapes
-    // encode, revalidate through load(), and decode back bit-exactly
-    // (exact mode) across epsilon mixes and topologies.
-    Rng rng(0xc0de);
-    for (unsigned trial = 0; trial < 16; ++trial) {
-        GeneratorConfig cfg;
-        cfg.numStates = StateId(2 + rng.below(600));
-        cfg.numPhonemes = std::uint32_t(1 + rng.below(64));
-        cfg.numWords = std::uint32_t(1 + rng.below(500));
-        cfg.epsilonFraction = rng.uniform(0.0, 0.4);
-        cfg.selfLoopProb = rng.uniform(0.0, 1.0);
-        cfg.forwardEpsilonOnly = rng.bernoulli(0.5);
-        cfg.wordLabelProb = rng.uniform(0.0, 0.5);
-        cfg.seed = rng.next();
-        const Wfst g = generateWfst(cfg);
-        const WeightMode mode = rng.bernoulli(0.5)
-                                    ? WeightMode::Exact
-                                    : WeightMode::Quantized;
-        const CompactArcs c = CompactArcs::build(g, mode);
-        const auto headers = c.headerArray();
-        const auto payload = c.payload();
-        const CompactArcs loaded = CompactArcs::load(
-            {headers.begin(), headers.end()},
-            {payload.begin(), payload.end()}, mode, c.weightTable(),
-            g.numStates());
-        expectDecodesEqual(g, loaded, mode == WeightMode::Exact);
-    }
 }
