@@ -230,33 +230,40 @@ runLiveClients(const pipeline::AsrModel &model,
     std::vector<std::future<pipeline::RecognitionResult>> futures(
         corpus.size());
 
-    const auto openNext = [&](unsigned slot) {
-        if (next >= corpus.size())
-            return false;
-        handles[slot] = engine.open();
+    // A finishing stream keeps its coordinator slot until its result
+    // is delivered, so open() may answer Capacity; the speaker then
+    // retries on the next round instead of giving up its slot.
+    const auto tryOpen = [&](unsigned slot) {
+        api::OpenStatus status;
+        const api::StreamHandle h =
+            engine.open(api::StreamOptions(), status);
+        if (status == api::OpenStatus::Capacity)
+            return;
+        if (status != api::OpenStatus::Ok)
+            fatal("live stream open rejected");
+        handles[slot] = h;
         utt[slot] = next++;
         offset[slot] = 0;
-        return true;
     };
-    unsigned active = 0;
-    for (unsigned s = 0; s < num_streams; ++s)
-        active += openNext(s) ? 1 : 0;
 
     // Round-robin 10 ms pushes across every open stream -- the
     // interleaving a network front door would produce from
     // num_streams simultaneous speakers.  A finished speaker's slot
-    // immediately starts the next utterance.
-    while (active > 0) {
+    // starts the next utterance as soon as the engine admits it.
+    std::size_t finished = 0;
+    while (finished < corpus.size()) {
         for (unsigned s = 0; s < num_streams; ++s) {
-            if (handles[s].value == 0)
+            if (handles[s].value == 0) {
+                if (next < corpus.size())
+                    tryOpen(s);
                 continue;
+            }
             const std::vector<float> &samples =
                 corpus[utt[s]].samples;
             if (offset[s] >= samples.size()) {
                 futures[utt[s]] = engine.finish(handles[s]);
                 handles[s] = api::StreamHandle();
-                if (!openNext(s))
-                    --active;
+                ++finished;
                 continue;
             }
             const std::size_t len = std::min<std::size_t>(

@@ -119,9 +119,6 @@ class ReferenceBackend final : public Backend
  */
 constexpr std::size_t kTile = 32;
 
-/** Rows of the input batch processed per packed panel pass. */
-constexpr std::size_t kRowBlock = 32;
-
 /**
  * One layer repacked for the blocked kernel: output channels grouped
  * into tiles of kTile, each tile stored k-major so the inner loop

@@ -77,6 +77,15 @@ enum class BackendKind
 std::string_view backendName(BackendKind kind);
 
 /**
+ * Rows of a batch that the blocked GEMM runs through one pass over a
+ * layer's packed weights: a batch of n rows costs ceil(n / kRowBlock)
+ * passes over each layer's weights.  A batch cut into runs of whole
+ * row blocks therefore reads the weights exactly as often as the
+ * uncut batch (server::BatchScorer's row slabs rely on this).
+ */
+constexpr std::size_t kRowBlock = 32;
+
+/**
  * Caller-owned scratch for the streaming-frame entry point.  A
  * session keeps one of these alive so per-frame scoring allocates
  * nothing in steady state; buffers grow to the largest layer once.

@@ -91,7 +91,15 @@ Engine::start()
                "backpressure bound must admit at least one chunk");
     ASR_ASSERT(opts.retiredHandleCap >= 1,
                "terminal-handle window must hold at least one handle");
-    batchScorer = std::make_unique<server::BatchScorer>(model_);
+    // A large tick's forward pass runs as row slabs across the same
+    // participants as the stages; runStage gives each at most one.
+    batchScorer = std::make_unique<server::BatchScorer>(
+        model_,
+        server::Fanout{opts.numThreads,
+                       [this](std::size_t count,
+                              const std::function<void(std::size_t)> &fn) {
+                           runStage(count, fn);
+                       }});
     stageWorkerCount = opts.numThreads - 1;
     coordinator = std::thread([this] { coordinatorLoop(); });
     workers.reserve(stageWorkerCount);
@@ -898,9 +906,11 @@ Engine::tick(std::vector<ActiveSession> &active)
     for (const ActiveSession &as : active)
         work += as.tickWork;
 
-    // Stage 2: one cross-session batched forward pass (coordinator).
-    // An auto-endpointed stream contributes its active segment's
-    // session -- null between segments, which the scorer tolerates.
+    // Stage 2: one cross-session batched forward pass, split into
+    // row slabs across the stage participants when it spans more
+    // than one row block.  An auto-endpointed stream contributes its
+    // active segment's session -- null between segments, which the
+    // scorer tolerates.
     std::vector<server::StreamingSession *> sessions;
     sessions.reserve(active.size());
     for (ActiveSession &as : active)

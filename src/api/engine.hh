@@ -25,7 +25,9 @@
  * cross-session forward pass per tick (server::BatchScorer), the
  * paper's batching-on-a-throughput-device economics, with the
  * per-session advance and search stages fanned out over the worker
- * threads.
+ * threads.  A pass over more than one acoustic::kRowBlock of rows
+ * fans out too, as row slabs of whole row blocks, one per thread;
+ * EngineSnapshot::dnnBatchSeconds stays the pass's wall-clock time.
  *
  * Every entry style produces bit-identical per-utterance results,
  * equal to an inline-scoring server::StreamingSession over the same
@@ -349,7 +351,9 @@ class Engine : public StreamEndpoint
     /**
      * Run fn(0..count-1) across the coordinator plus the stage
      * workers (static index partition) and wait for completion.
-     * Coordinator-only; not reentrant.
+     * Serves the advance and consume stages and, from tick(), the
+     * BatchScorer's row-slab fanout.  Coordinator-only; not
+     * reentrant.
      */
     void runStage(std::size_t count,
                   const std::function<void(std::size_t)> &fn);

@@ -25,7 +25,9 @@ struct EngineOptions : server::SessionKnobs
 {
     /**
      * Threads running the coordinator's per-session stages (>= 1):
-     * the coordinator itself plus numThreads - 1 stage workers.
+     * the coordinator itself plus numThreads - 1 stage workers.  The
+     * same threads score a tick's forward pass as row slabs when it
+     * holds more than one acoustic::kRowBlock of rows.
      */
     unsigned numThreads = 1;
 

@@ -1,15 +1,22 @@
 #include "server/batch_scorer.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <utility>
 
+#include "acoustic/backend.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 
 namespace asr::server {
 
-BatchScorer::BatchScorer(const pipeline::AsrModel &model)
-    : model(model)
+BatchScorer::BatchScorer(const pipeline::AsrModel &model,
+                         Fanout fanout)
+    : model(model), fanout(std::move(fanout))
 {
+    ASR_ASSERT(this->fanout.parts < 2 || this->fanout.run,
+               "a fanout of %zu parts needs a run function",
+               this->fanout.parts);
 }
 
 std::size_t
@@ -28,11 +35,40 @@ BatchScorer::score(std::span<StreamingSession *const> sessions)
         return 0;
 
     const auto t0 = std::chrono::steady_clock::now();
-    acoustic::Matrix input(totalRows, model.backend().inputDim());
+    const acoustic::Backend &backend = model.backend();
+    acoustic::Matrix input(totalRows, backend.inputDim());
     for (std::size_t i = 0; i < sessions.size(); ++i)
         if (rows_[i] > 0)
             sessions[i]->exportPending(input, bases_[i]);
-    scores_ = model.backend().scoreBatch(input);
+
+    // Slab s covers row blocks [blocks*s/slabs, blocks*(s+1)/slabs):
+    // whole blocks only, so the slabs together make exactly the
+    // weight passes of the whole batch.
+    const std::size_t blocks =
+        (totalRows + acoustic::kRowBlock - 1) / acoustic::kRowBlock;
+    const std::size_t slabs = std::min(fanout.parts, blocks);
+    if (slabs < 2) {
+        scores_ = backend.scoreBatch(input);
+    } else {
+        scores_ = acoustic::Matrix(totalRows, backend.outputDim());
+        const std::function<void(std::size_t)> scoreSlab =
+            [&](std::size_t s) {
+                const std::size_t r0 =
+                    acoustic::kRowBlock * (blocks * s / slabs);
+                const std::size_t r1 = std::min(
+                    totalRows,
+                    acoustic::kRowBlock * (blocks * (s + 1) / slabs));
+                acoustic::Matrix slab(r1 - r0, backend.inputDim());
+                std::copy_n(input.row(r0).data(), slab.data().size(),
+                            slab.data().begin());
+                const acoustic::Matrix slabScores =
+                    backend.scoreBatch(slab);
+                std::copy(slabScores.data().begin(),
+                          slabScores.data().end(),
+                          scores_.row(r0).data());
+            };
+        fanout.run(slabs, scoreSlab);
+    }
     forwardSeconds = secondsSince(t0);
     return totalRows;
 }

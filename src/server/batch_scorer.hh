@@ -10,16 +10,29 @@
  * the float paths: each session's scores are bit-identical to inline
  * per-frame scoring no matter how frames are coalesced.
  *
- * Single-threaded by design: one BatchScorer is driven by the
- * engine's coordinator between the parallel advance/consume
- * stages; sessions read their score rows back concurrently via
- * consumePendingScores (disjoint rows of the immutable result).
+ * A tick that gathers more than one acoustic::kRowBlock of rows is
+ * scored as row slabs, one per Fanout part (the engine's coordinator
+ * and stage workers), at the same time.  Each slab is a run of whole
+ * row blocks, so the split pass reads every layer's weights as often
+ * as the whole batch would, and because row r of scoreBatch depends
+ * only on input row r, the split changes no bit on any backend.
+ * Smaller ticks (every live tick today) keep one scoreBatch call.
+ *
+ * Threading: one BatchScorer is driven by the engine's coordinator
+ * from tick(), between the parallel advance/consume stages, never
+ * from inside a stage (the engine's runStage is not reentrant).
+ * Slab tasks read the gathered input and the const backend and write
+ * disjoint rows of scores(); the fanout's completion orders those
+ * writes before the consume stage reads them.  Sessions then read
+ * their score rows back concurrently via consumePendingScores
+ * (disjoint rows of the immutable result).
  */
 
 #ifndef ASR_SERVER_BATCH_SCORER_HH
 #define ASR_SERVER_BATCH_SCORER_HH
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -29,17 +42,34 @@
 
 namespace asr::server {
 
+/**
+ * How a BatchScorer spreads a split forward pass: run(count, fn)
+ * calls fn(0) ... fn(count - 1), possibly at the same time, with
+ * count <= parts, and returns once every call has finished.  The
+ * default has one part, so the scorer never splits and never calls
+ * run.
+ */
+struct Fanout
+{
+    std::size_t parts = 1;
+    std::function<void(std::size_t count,
+                       const std::function<void(std::size_t)> &fn)>
+        run;
+};
+
 /** Assembles, scores and scatters one cross-session batch per tick. */
 class BatchScorer
 {
   public:
-    explicit BatchScorer(const pipeline::AsrModel &model);
+    explicit BatchScorer(const pipeline::AsrModel &model,
+                         Fanout fanout = {});
 
     /**
      * Gather every pending spliced frame of @p sessions into one
-     * batch matrix and run a single backend forward pass.  Null
-     * entries (sessions retired mid-tick, e.g. a cancelled live
-     * stream that never got one) contribute zero rows.
+     * batch matrix and score it: one backend forward pass, or row
+     * slabs across the fanout when the batch spans more than one
+     * row block.  Null entries (sessions retired mid-tick, e.g. a
+     * cancelled live stream that never got one) contribute zero rows.
      * @return total frames scored this tick (0 = no forward ran)
      */
     std::size_t score(std::span<StreamingSession *const> sessions);
@@ -56,11 +86,12 @@ class BatchScorer
      */
     double secondsShare(std::size_t i) const;
 
-    /** Wall-clock of the last batched forward pass. */
+    /** Wall-clock of the last forward pass, split or not. */
     double lastForwardSeconds() const { return forwardSeconds; }
 
   private:
     const pipeline::AsrModel &model;
+    Fanout fanout;
     acoustic::Matrix scores_;
     std::vector<std::size_t> bases_;
     std::vector<std::size_t> rows_;

@@ -107,11 +107,13 @@ struct EngineSnapshot
     std::uint64_t degradedStreams = 0;
     std::uint64_t deadlinesExpired = 0;
 
-    // Cross-session batched DNN scoring (batch-mode engines only;
-    // all zero when scoring runs inline per session).
+    // Cross-session batched DNN scoring: one forward pass per tick
+    // that gathered rows.  dnnBatchSeconds sums each pass's
+    // wall-clock time, whether it ran as one GEMM or as row slabs
+    // across the stage workers, so it is not their summed CPU time.
     std::uint64_t dnnBatches = 0;      //!< batched forward passes
     std::uint64_t dnnBatchedFrames = 0;//!< frames scored in them
-    double dnnBatchSeconds = 0.0;      //!< wall-clock inside the GEMMs
+    double dnnBatchSeconds = 0.0;      //!< wall-clock of the passes
     double dnnMaxBatchRows = 0.0;      //!< largest single batch
 
     /** Mean frames coalesced per batched forward pass. */

@@ -6,15 +6,22 @@
  * StreamingSession, the reference decoder) for any thread count and
  * any batch-session cap -- with dither and with the accelerator
  * search backend too -- the deferred-session protocol must
- * round-trip by hand, and the engine must actually coalesce frames
- * (mean batch > 1 with many concurrent sessions).
+ * round-trip by hand, a batch split into row slabs must score the
+ * same bits as the whole batch, and the engine must actually
+ * coalesce frames (mean batch > 1 with many concurrent sessions).
  */
 
+#include <algorithm>
+#include <cstring>
 #include <future>
+#include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "acoustic/backend.hh"
 #include "api/engine.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -141,12 +148,12 @@ class ServerBatchTest : public ::testing::Test
     }
 
     static std::vector<frontend::AudioSignal>
-    corpus(unsigned count)
+    corpus(unsigned count, unsigned phones = 6)
     {
         std::vector<frontend::AudioSignal> out;
         out.reserve(count);
         for (unsigned u = 0; u < count; ++u)
-            out.push_back(testAudio(100 + u));
+            out.push_back(testAudio(100 + u, phones));
         return out;
     }
 
@@ -172,7 +179,10 @@ TEST_F(ServerBatchTest, ThreadCountDoesNotChangeBatchModeResults)
 {
     // Dither draws from each session's private RNG, so this also
     // proves the stream is keyed on (base seed, session id) only.
-    const auto audios = corpus(8);
+    // Utterances of 24 phones keep the 32-slot ticks above one row
+    // block on average, so with 2 or 4 threads those runs score
+    // their ticks as row slabs.
+    const auto audios = corpus(8, 24);
     EngineOptions cfg;
     cfg.baseSeed = 3;
     cfg.ditherAmplitude = 1e-4f;
@@ -184,7 +194,12 @@ TEST_F(ServerBatchTest, ThreadCountDoesNotChangeBatchModeResults)
                                             << slots << " slots");
             cfg.numThreads = threads;
             cfg.maxBatchSessions = slots;
-            expectIdentical(want, runEngine(cfg, audios));
+            EngineSnapshot snap;
+            expectIdentical(want, runEngine(cfg, audios, &snap));
+            if (slots == 32) {
+                EXPECT_GT(snap.dnnMeanBatchRows(),
+                          double(acoustic::kRowBlock));
+            }
         }
     }
 }
@@ -278,6 +293,105 @@ TEST_F(ServerBatchTest, DeferredProtocolRoundTripsByHand)
     EXPECT_EQ(want.words, got.words);
     EXPECT_EQ(want.score, got.score);
     EXPECT_EQ(want.audioSeconds, got.audioSeconds);
+}
+
+TEST_F(ServerBatchTest, RowSlabsAreBitIdentical)
+{
+    // Three deferred sessions are pushed by hand, a few samples at a
+    // time, until their pending rows total n.  A serial scorer and a
+    // scorer whose fanout runs the slabs in reverse order on threads
+    // of its own must then gather and score the same bits; the fanout
+    // runs only when the batch holds at least two row blocks and
+    // there are at least two parts.
+    constexpr std::size_t kSessions = 3;
+    std::vector<frontend::AudioSignal> audios;
+    std::vector<std::unique_ptr<StreamingSession>> owned;
+    std::vector<StreamingSession *> sessions;
+    std::vector<std::size_t> offsets(kSessions, 0);
+    for (std::size_t k = 0; k < kSessions; ++k) {
+        audios.push_back(testAudio(200 + k, 24));
+        SessionConfig scfg;
+        scfg.id = k;
+        scfg.deferScoring = true;
+        owned.push_back(std::make_unique<StreamingSession>(*model, scfg));
+        sessions.push_back(owned.back().get());
+    }
+    const auto pendingTotal = [&] {
+        std::size_t total = 0;
+        for (const StreamingSession *s : sessions)
+            total += s->pendingRows();
+        return total;
+    };
+    // 16 samples are a tenth of a frame shift, so no push adds more
+    // than one row and every total below is hit exactly.
+    constexpr std::size_t kStep = 16;
+    std::size_t next = 0;
+    const auto pushUntil = [&](std::size_t n) {
+        while (pendingTotal() < n) {
+            const std::size_t k = next++ % kSessions;
+            const std::vector<float> &samples = audios[k].samples;
+            ASSERT_LT(offsets[k], samples.size()) << "audio too short";
+            const std::size_t len =
+                std::min(kStep, samples.size() - offsets[k]);
+            sessions[k]->pushAudio(std::span<const float>(
+                samples.data() + offsets[k], len));
+            offsets[k] += len;
+        }
+        ASSERT_EQ(pendingTotal(), n);
+    };
+
+    for (const std::size_t n : {1, 32, 33, 64, 70, 100}) {
+        pushUntil(n);
+        BatchScorer serial(*model);
+        ASSERT_EQ(serial.score(sessions), n);
+        const std::size_t blocks =
+            (n + acoustic::kRowBlock - 1) / acoustic::kRowBlock;
+        for (const std::size_t parts : {1, 2, 4}) {
+            SCOPED_TRACE(testing::Message() << n << " rows, " << parts
+                                            << " parts");
+            std::vector<std::size_t> counts;
+            std::vector<std::size_t> ran;
+            std::mutex ranMu;
+            Fanout fanout;
+            fanout.parts = parts;
+            fanout.run = [&](std::size_t count,
+                             const std::function<void(std::size_t)> &fn) {
+                counts.push_back(count);
+                std::vector<std::thread> threads;
+                for (std::size_t i = count; i-- > 0;)
+                    threads.emplace_back([&, i] {
+                        fn(i);
+                        std::lock_guard<std::mutex> lock(ranMu);
+                        ran.push_back(i);
+                    });
+                for (std::thread &t : threads)
+                    t.join();
+            };
+            BatchScorer split(*model, fanout);
+            ASSERT_EQ(split.score(sessions), n);
+
+            const std::size_t slabs = std::min(parts, blocks);
+            if (slabs >= 2) {
+                EXPECT_EQ(counts, std::vector<std::size_t>{slabs});
+                std::sort(ran.begin(), ran.end());
+                std::vector<std::size_t> every(slabs);
+                for (std::size_t s = 0; s < slabs; ++s)
+                    every[s] = s;
+                EXPECT_EQ(ran, every);
+            } else {
+                EXPECT_TRUE(counts.empty());
+            }
+            for (std::size_t k = 0; k < kSessions; ++k)
+                EXPECT_EQ(split.base(k), serial.base(k));
+            const acoustic::Matrix &want = serial.scores();
+            const acoustic::Matrix &got = split.scores();
+            ASSERT_EQ(got.rows(), want.rows());
+            ASSERT_EQ(got.cols(), want.cols());
+            EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                  want.data().size() * sizeof(float)),
+                      0);
+        }
+    }
 }
 
 TEST_F(ServerBatchTest, AcceleratorBackendInBatchMode)
