@@ -1,6 +1,7 @@
 #include "api/engine.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/fault.hh"
@@ -34,11 +35,15 @@ namespace {
 constexpr std::size_t kChunkSamples = 160;
 
 /**
- * Audio chunks each session advances per tick.  More chunks coalesce
- * more frames per forward pass (batch ~= sessions x kChunksPerTick)
- * and amortize the per-tick stage barriers, at the cost of coarser
- * partial-result latency.  Results stay bit-identical to inline
- * per-frame scoring regardless.
+ * Audio chunks each session advances per tick.  For one-shot jobs,
+ * more chunks coalesce more frames per forward pass (batch ~=
+ * sessions x kChunksPerTick) and amortize the per-tick stage
+ * barriers, at the cost of coarser partial-result latency.  A live
+ * stream advances what its client has queued, up to this many: a
+ * paced client holds one chunk per frame shift, so its batches come
+ * from the frame clock (awaitFrameClock), and only a stream behind
+ * real time advances several chunks at once.  Results stay
+ * bit-identical to inline per-frame scoring regardless.
  */
 constexpr std::size_t kChunksPerTick = 8;
 
@@ -285,6 +290,12 @@ PushResult
 Engine::pushFor(StreamHandle h, std::span<const float> samples,
                 std::chrono::nanoseconds timeout)
 {
+    // NaN or +-Inf audio would flow through MFCC, the DNN and search
+    // and come out as a silent empty result: reject the chunk before
+    // it is queued, as net::decodeSamples does on the wire.
+    if (!std::all_of(samples.begin(), samples.end(),
+                     [](float v) { return std::isfinite(v); }))
+        return PushResult::Rejected;
     const std::shared_ptr<LiveStream> ls = findStream(h);
     if (!ls)
         return PushResult::Rejected;
@@ -312,6 +323,7 @@ Engine::pushFor(StreamHandle h, std::span<const float> samples,
         if (ls->lifecycle != StreamState::Open)
             return PushResult::Rejected;
         ls->chunks.emplace_back(samples.begin(), samples.end());
+        ls->lastPushAt = std::chrono::steady_clock::now();
     }
     {
         std::lock_guard<std::mutex> lock(mu);
@@ -740,6 +752,7 @@ Engine::coordinatorLoop()
                 model_, sessionConfigFor(as.job));
         }
 
+        awaitFrameClock(active);
         const std::size_t work = tick(active);
 
         // Retire finished and cancelled sessions.
@@ -817,6 +830,52 @@ Engine::coordinatorLoop()
                 return;
         }
     }
+}
+
+void
+Engine::awaitFrameClock(const std::vector<ActiveSession> &active)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto shift = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double, std::milli>(
+            model_.mfcc().config().frameShiftMs));
+    // When the next tick is due; time_point::min() means now.  Every
+    // event that ends a hold -- a push, finish, cancel, expiry, submit,
+    // open or shutdown -- notifies workReady, and the hold re-asks.
+    const auto due = [&] {
+        if (stopping || !queue.empty())
+            return Clock::time_point::min();
+        Clock::time_point oldest = Clock::time_point::max();
+        bool everyStreamHasOne = true;
+        for (const ActiveSession &as : active) {
+            if (!as.job.live || as.finishing || as.cancelled)
+                return Clock::time_point::min();
+            const LiveStream &ls = *as.job.live;
+            std::lock_guard<std::mutex> lock(ls.mu);
+            if (ls.lifecycle != StreamState::Open || ls.chunks.size() > 1)
+                return Clock::time_point::min();
+            if (ls.chunks.empty())
+                everyStreamHasOne = false;
+            else
+                oldest = std::min(oldest, ls.lastPushAt);
+        }
+        // No chunk at all: nothing to batch, and an idle tick parks.
+        if (everyStreamHasOne || oldest == Clock::time_point::max())
+            return Clock::time_point::min();
+        return oldest + shift;
+    };
+
+    std::unique_lock<std::mutex> lock(mu);
+    Clock::time_point until = due();
+    const Clock::time_point began = Clock::now();
+    if (until <= began)
+        return;
+    stats_.beginFrameClockWait();
+    while (until > Clock::now()) {
+        workReady.wait_until(lock, until);
+        until = due();
+    }
+    stats_.endFrameClockWait(secondsSince(began));
 }
 
 void

@@ -29,6 +29,17 @@
  * fans out too, as row slabs of whole row blocks, one per thread;
  * EngineSnapshot::dnnBatchSeconds stays the pass's wall-clock time.
  *
+ * Live ticks run on the frame clock.  While every in-flight session
+ * is an Open live stream, the coordinator holds the next tick until
+ * each stream has a chunk queued or the oldest queued chunk is one
+ * frame shift (the model's MFCC hop, 10 ms) old, so paced clients
+ * pushing one frame each share one forward pass per frame shift
+ * instead of one pass per push.  The tick starts at once when a
+ * stream is behind (holds more than one chunk), when one is closed,
+ * finishing or cancelled, when a job or stream is queued, and at
+ * shutdown; one-shot jobs never wait.  EngineSnapshot's
+ * frameClockWaits and frameClockWaitSeconds count the holds.
+ *
  * Every entry style produces bit-identical per-utterance results,
  * equal to an inline-scoring server::StreamingSession over the same
  * audio and session id: sessions share one immutable
@@ -172,10 +183,16 @@ class Engine : public StreamEndpoint
      * clear: a stalled stream can no longer wedge the calling thread
      * forever, which is fatal when that thread is an event loop
      * serving other connections.  timeout 0 is a pure try-push.
+     *
+     * A chunk holding a NaN or +-Inf sample is rejected whole and
+     * queues nothing; the stream stays Open, so later finite pushes
+     * decode as if it had never been sent.  Denormals, +-0 and
+     * +-FLT_MAX are ordinary audio (the same rule as
+     * net::decodeSamples on the wire).
      * @return Ok (queued), WouldBlock (queue still full after
      *         @p timeout; the chunk was NOT queued -- retry later),
-     *         or Rejected (stream not Open; equivalent to push()
-     *         returning false)
+     *         or Rejected (stream not Open, or a non-finite sample;
+     *         equivalent to push() returning false)
      */
     PushResult pushFor(StreamHandle h, std::span<const float> samples,
                        std::chrono::nanoseconds timeout) override;
@@ -251,6 +268,11 @@ class Engine : public StreamEndpoint
         mutable std::mutex mu;
         std::condition_variable spaceReady;  //!< chunk consumed
         std::deque<std::vector<float>> chunks;
+        /** When the newest chunk was queued.  The frame clock only
+         *  holds a tick while each stream has at most one chunk, and
+         *  a lone chunk is the newest, so this one stamp is that
+         *  chunk's arrival. */
+        std::chrono::steady_clock::time_point lastPushAt;
         bool closed = false;     //!< finish() called
         bool cancelled = false;
         bool deadlineExpired = false;  //!< watchdog foreclosed it
@@ -357,6 +379,16 @@ class Engine : public StreamEndpoint
      */
     void runStage(std::size_t count,
                   const std::function<void(std::size_t)> &fn);
+
+    /**
+     * The frame clock: while every session in @p active is an Open
+     * live stream holding at most one chunk, and some but not all of
+     * them hold one, wait until the rest catch up or the oldest
+     * queued chunk is one frame shift old (see the file comment for
+     * the exits).  Coordinator-only; takes mu, then each stream's mu
+     * inside it.
+     */
+    void awaitFrameClock(const std::vector<ActiveSession> &active);
 
     /** @return chunks advanced + rows scored (0 = idle tick). */
     std::size_t tick(std::vector<ActiveSession> &active);

@@ -103,7 +103,8 @@ enum class PushResult
 {
     Ok,         //!< chunk queued
     WouldBlock, //!< backpressure held for the full timeout; not queued
-    Rejected,   //!< stream not Open (finished/cancelled/unknown)
+    Rejected,   //!< stream not Open (finished/cancelled/unknown), or
+                //!< a NaN/+-Inf sample (chunk dropped, stream stays Open)
 };
 
 /** Per-stream options. */
@@ -223,7 +224,10 @@ class StreamEndpoint
     /**
      * Feed the next captured samples, waiting at most @p timeout for
      * backpressure to clear (0 = pure try-push, negative = unbounded
-     * -- what plain push() uses).
+     * -- what plain push() uses).  A chunk holding a NaN or +-Inf
+     * sample is Rejected and queues nothing, while the stream stays
+     * Open; denormals, +-0 and +-FLT_MAX are ordinary audio (the
+     * rule of net::decodeSamples on the wire).
      */
     virtual PushResult pushFor(StreamHandle h,
                                std::span<const float> samples,

@@ -58,7 +58,7 @@
  *                EngineSnapshot member in server::kSnapshotFields
  *                order (u64 or f64 each), then u64 streamsOpened,
  *                streamsActive and retryAfterSent, then the u8
- *                overload state -- 281 bytes.
+ *                overload state -- 297 bytes.
  *
  * The flags byte on PARTIAL/FINAL carries kResultFlagDegraded when
  * the stream was admitted with overload-degraded search knobs: the

@@ -16,7 +16,8 @@
  * row blocks, so the split pass reads every layer's weights as often
  * as the whole batch would, and because row r of scoreBatch depends
  * only on input row r, the split changes no bit on any backend.
- * Smaller ticks (every live tick today) keep one scoreBatch call.
+ * Smaller ticks keep one scoreBatch call; a live tick on the engine's
+ * frame clock carries about one row per open stream.
  *
  * Threading: one BatchScorer is driven by the engine's coordinator
  * from tick(), between the parallel advance/consume stages, never

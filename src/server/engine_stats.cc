@@ -122,6 +122,20 @@ EngineStats::recordDeadlineExpired()
 }
 
 void
+EngineStats::beginFrameClockWait()
+{
+    std::lock_guard<std::mutex> lock(mu);
+    ++totals.frameClockWaits;
+}
+
+void
+EngineStats::endFrameClockWait(double seconds)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    totals.frameClockWaitSeconds += seconds;
+}
+
+void
 EngineStats::recordDnnBatch(std::size_t rows, double seconds)
 {
     EngineSnapshot pass;
@@ -235,6 +249,13 @@ EngineSnapshot::render() const
             static_cast<unsigned long long>(dnnBatches),
             static_cast<unsigned long long>(dnnBatchedFrames),
             dnnMeanBatchRows(), dnnMaxBatchRows, dnnBatchSeconds);
+        out += buf;
+    }
+    if (frameClockWaits > 0) {
+        std::snprintf(buf, sizeof(buf),
+                      "frame clock     %llu ticks held, %.3fs waiting\n",
+                      static_cast<unsigned long long>(frameClockWaits),
+                      frameClockWaitSeconds);
         out += buf;
     }
     return out;

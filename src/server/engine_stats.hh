@@ -116,6 +116,13 @@ struct EngineSnapshot
     double dnnBatchSeconds = 0.0;      //!< wall-clock of the passes
     double dnnMaxBatchRows = 0.0;      //!< largest single batch
 
+    // The live frame clock (api::Engine): ticks held back so paced
+    // streams' chunks share one forward pass, and how long they
+    // waited in total.  A hold counts from the moment it begins; its
+    // seconds are added when it ends.
+    std::uint64_t frameClockWaits = 0;  //!< ticks that waited
+    double frameClockWaitSeconds = 0.0; //!< their summed wait
+
     /** Mean frames coalesced per batched forward pass. */
     double
     dnnMeanBatchRows() const
@@ -216,6 +223,10 @@ inline constexpr std::tuple kSnapshotFields{
                   Merge::Sum},
     SnapshotField{"dnnMaxBatchRows", &EngineSnapshot::dnnMaxBatchRows,
                   Merge::Max},
+    SnapshotField{"frameClockWaits", &EngineSnapshot::frameClockWaits,
+                  Merge::Sum},
+    SnapshotField{"frameClockWaitSeconds",
+                  &EngineSnapshot::frameClockWaitSeconds, Merge::Sum},
 };
 
 /** Call @p f(field) for every kSnapshotFields entry, in order. */
@@ -269,6 +280,12 @@ class EngineStats
 
     /** Record one stream cancelled/foreclosed by its deadline. */
     void recordDeadlineExpired();
+
+    /** Count one tick the frame clock began to hold back. */
+    void beginFrameClockWait();
+
+    /** Add the length of a hold that just ended. */
+    void endFrameClockWait(double seconds);
 
     /** @param wall_seconds engine wall-clock for throughput */
     EngineSnapshot snapshot(double wall_seconds = 0.0) const;

@@ -25,11 +25,20 @@
  *    StreamOptions::deadlineMs, bounds the finish wait, never fires
  *    on prompt streams, and survives a three-way cancel vs deadline
  *    vs finish race (TSan-checked in CI).
+ *  - The frame clock: paced streams share one forward pass per frame
+ *    shift, a stream behind real time is never held for a silent
+ *    one, and finish, cancel, a deadline expiry and a submit each end
+ *    a hold in progress.
+ *  - Hostile audio: a chunk holding NaN or +-Inf is rejected whole,
+ *    and the stream decodes on as if it had never been pushed.
  */
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <span>
 #include <string>
@@ -141,6 +150,97 @@ class ApiEngineTest : public ::testing::Test
         }
         return engine.finish(h).get();
     }
+
+    /** The model's frame shift, the longest a hold can last. */
+    static std::chrono::steady_clock::duration
+    frameShift()
+    {
+        return std::chrono::duration_cast<
+            std::chrono::steady_clock::duration>(
+            std::chrono::duration<double, std::milli>(
+                model->mfcc().config().frameShiftMs));
+    }
+
+    /**
+     * Push @p chunk to @p paced beside a silent open stream, which
+     * makes the coordinator hold its next tick on the frame clock,
+     * and run @p event once that hold has begun.  @return true when
+     * the hold provably ended before the chunk alone would have ended
+     * it: the hold began no later than the moment it was seen to
+     * begin, so it ended no later than that moment plus the length
+     * the engine measured, and that is earlier than one frame shift
+     * after the push.  False when it ran that long, or when the chunk
+     * was ticked without a hold (then @p event never ran).
+     */
+    static bool
+    holdEndedEarly(Engine &engine, StreamHandle paced,
+                   std::span<const float> chunk,
+                   const std::function<void()> &event)
+    {
+        using Clock = std::chrono::steady_clock;
+        const auto poll = std::chrono::microseconds(100);
+        const server::EngineSnapshot before = engine.stats();
+        const Clock::time_point pushed = Clock::now();
+        EXPECT_TRUE(engine.push(paced, chunk));
+        while (engine.stats().frameClockWaits == before.frameClockWaits) {
+            if (Clock::now() > pushed + std::chrono::milliseconds(50))
+                return false;
+            std::this_thread::sleep_for(poll);
+        }
+        const Clock::time_point seen = Clock::now();
+        event();
+        // A hold's seconds are added when it ends.
+        const auto give_up = Clock::now() + std::chrono::seconds(10);
+        double held = 0.0;
+        while (held == 0.0 && Clock::now() < give_up) {
+            std::this_thread::sleep_for(poll);
+            held = engine.stats().frameClockWaitSeconds -
+                   before.frameClockWaitSeconds;
+        }
+        EXPECT_GT(held, 0.0) << "the hold never ended";
+        return seen + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double>(held)) <
+               pushed + frameShift();
+    }
+
+    /**
+     * A paced stream the frame-clock exit tests push one chunk at a
+     * time, plus the check that it still decodes to the reference.
+     */
+    struct PacedStream
+    {
+        Engine &engine;
+        frontend::AudioSignal audio = testAudio(139, 30);
+        std::uint64_t id = engine.submittedCount();
+        StreamHandle handle = engine.open();
+        std::size_t offset = 0;
+
+        std::span<const float>
+        nextChunk()
+        {
+            const std::size_t len =
+                std::min<std::size_t>(160, audio.samples.size() - offset);
+            EXPECT_GT(len, 0u) << "paced stream ran out of audio";
+            const std::span<const float> chunk(
+                audio.samples.data() + offset, len);
+            offset += len;
+            return chunk;
+        }
+
+        void
+        finishAndCheck()
+        {
+            if (offset < audio.samples.size()) {
+                EXPECT_TRUE(engine.push(
+                    handle, std::span<const float>(audio.samples)
+                                .subspan(offset)));
+            }
+            const auto got = engine.finish(handle).get();
+            const auto want = referenceDecode(audio, id);
+            EXPECT_EQ(got.words, want.words);
+            EXPECT_EQ(got.score, want.score);
+        }
+    };
 
     static wfst::Wfst *net;
     static pipeline::AsrModel *model;
@@ -1020,4 +1120,296 @@ TEST_F(ApiEngineTest, CancelDeadlineFinishRaceNeverWedges)
         EXPECT_NE(engine.state(handles[i]), StreamState::Open) << i;
     }
     engine.drain();
+}
+
+// ---------------------------------------------------------------------------
+// The frame clock: live ticks wait for every stream's next chunk.
+// ---------------------------------------------------------------------------
+
+TEST_F(ApiEngineTest, FrameClockCoalescesPacedStreams)
+{
+    // k clients each pushing one 10 ms chunk per frame shift, paced
+    // from one thread at staggered phases across the first half of
+    // each frame shift, as independent clients would: each tick is
+    // held until every stream's chunk is in, so a forward pass
+    // carries a row from each stream, not one pass per push.
+    constexpr unsigned kStreams = 6;
+    std::vector<frontend::AudioSignal> corpus;
+    std::vector<pipeline::RecognitionResult> want;
+    for (unsigned u = 0; u < kStreams; ++u) {
+        corpus.push_back(testAudio(300 + u, 10));
+        want.push_back(referenceDecode(corpus[u], u));
+    }
+
+    EngineOptions opts;
+    opts.numThreads = 2;
+    Engine engine(*model, opts);
+    std::vector<StreamHandle> handles(kStreams);
+    for (unsigned u = 0; u < kStreams; ++u)
+        handles[u] = engine.open();
+
+    std::size_t longest = 0;
+    for (const frontend::AudioSignal &a : corpus)
+        longest = std::max(longest, a.samples.size());
+    const auto shift = frameShift();
+    auto frame = std::chrono::steady_clock::now();
+    for (std::size_t base = 0; base < longest; base += 160) {
+        for (unsigned u = 0; u < kStreams; ++u) {
+            std::this_thread::sleep_until(frame +
+                                          shift * u / (2 * kStreams));
+            const std::vector<float> &s = corpus[u].samples;
+            if (base < s.size()) {
+                EXPECT_TRUE(engine.push(
+                    handles[u],
+                    std::span<const float>(
+                        s.data() + base,
+                        std::min<std::size_t>(160, s.size() - base))));
+            }
+        }
+        frame += shift;
+    }
+    std::vector<std::future<pipeline::RecognitionResult>> futures;
+    for (unsigned u = 0; u < kStreams; ++u)
+        futures.push_back(engine.finish(handles[u]));
+    for (unsigned u = 0; u < kStreams; ++u) {
+        const auto got = futures[u].get();
+        EXPECT_EQ(got.words, want[u].words) << "stream " << u;
+        EXPECT_EQ(got.score, want[u].score) << "stream " << u;
+    }
+
+    const auto snap = engine.stats();
+    EXPECT_GE(snap.dnnMeanBatchRows(), kStreams / 2.0)
+        << snap.dnnBatches << " passes for " << snap.dnnBatchedFrames
+        << " rows";
+}
+
+TEST_F(ApiEngineTest, FrameClockNeverHoldsAStreamBehindRealTime)
+{
+    // A client pushing faster than real time holds more than one
+    // chunk, and such a stream starts its tick at once even beside an
+    // open stream that stays silent.  The silent stream's onPartial
+    // stalls the coordinator (as in PushForTimesOutInsteadOfBlocking)
+    // while the unpaced client pushes its backlog, so the drain that
+    // follows is deterministic: 64 fresh chunks, 8 a tick, and never
+    // a lone chunk the frame clock could wait on.
+    constexpr std::size_t kBacklog = 64;
+    EngineOptions opts;
+    opts.numThreads = 1;
+    opts.maxQueuedChunks = kBacklog;
+    Engine engine(*model, opts);
+
+    std::promise<void> stalled;
+    std::promise<void> release;
+    const std::shared_future<void> released =
+        release.get_future().share();
+    std::once_flag stallOnce;
+    api::StreamOptions stalling;
+    stalling.onPartial = [&](const std::vector<wfst::WordId> &) {
+        std::call_once(stallOnce, [&] { stalled.set_value(); });
+        released.wait();
+    };
+    const StreamHandle silent = engine.open(stalling);
+    ASSERT_NE(silent.value, 0u);
+    ASSERT_TRUE(engine.push(silent, testAudio(83, 10).samples));
+    ASSERT_EQ(stalled.get_future().wait_for(std::chrono::seconds(30)),
+              std::future_status::ready)
+        << "the silent stream never published a partial";
+
+    frontend::AudioSignal backlog = testAudio(127, 40);
+    ASSERT_GE(backlog.samples.size(), kBacklog * 160);
+    backlog.samples.resize(kBacklog * 160);
+    const auto want = referenceDecode(backlog, 1);
+    const StreamHandle unpaced = engine.open();
+    for (std::size_t c = 0; c < kBacklog; ++c)
+        ASSERT_EQ(engine.pushFor(unpaced,
+                                 std::span<const float>(
+                                     backlog.samples.data() + c * 160, 160),
+                                 std::chrono::nanoseconds(0)),
+                  api::PushResult::Ok)
+            << "chunk " << c;
+    const server::EngineSnapshot before = engine.stats();
+    release.set_value();
+
+    // Every tick of the drain scores rows, so it ends after exactly
+    // kBacklog / 8 more forward passes.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    server::EngineSnapshot drained = engine.stats();
+    while (drained.dnnBatches < before.dnnBatches + kBacklog / 8 &&
+           std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        drained = engine.stats();
+    }
+    EXPECT_EQ(drained.dnnBatches, before.dnnBatches + kBacklog / 8);
+    EXPECT_EQ(drained.frameClockWaits, before.frameClockWaits)
+        << "a stream behind real time was held for a silent one";
+
+    const auto got = engine.finish(unpaced).get();
+    EXPECT_EQ(got.words, want.words);
+    EXPECT_EQ(got.score, want.score);
+    EXPECT_EQ(engine.state(silent), StreamState::Open);
+    EXPECT_TRUE(engine.cancel(silent));
+}
+
+TEST_F(ApiEngineTest, FrameClockWaitEndsOnFinish)
+{
+    EngineOptions opts;
+    opts.numThreads = 2;
+    Engine engine(*model, opts);
+    PacedStream paced{engine};
+    bool endedEarly = false;
+    for (int attempt = 0; attempt < 20 && !endedEarly; ++attempt) {
+        const std::uint64_t id = engine.submittedCount();
+        const StreamHandle silent = engine.open();
+        std::future<pipeline::RecognitionResult> result;
+        endedEarly = holdEndedEarly(
+            engine, paced.handle, paced.nextChunk(),
+            [&] { result = engine.finish(silent); });
+        if (!result.valid())
+            result = engine.finish(silent);
+        const auto got = result.get();
+        const auto want = referenceDecode({}, id);
+        EXPECT_EQ(got.words, want.words);
+        EXPECT_EQ(got.score, want.score);
+    }
+    EXPECT_TRUE(endedEarly) << "finish() never ended a hold early";
+    EXPECT_NE(engine.stats().render().find("frame clock"),
+              std::string::npos);
+    paced.finishAndCheck();
+}
+
+TEST_F(ApiEngineTest, FrameClockWaitEndsOnCancel)
+{
+    EngineOptions opts;
+    opts.numThreads = 2;
+    Engine engine(*model, opts);
+    PacedStream paced{engine};
+    bool endedEarly = false;
+    for (int attempt = 0; attempt < 20 && !endedEarly; ++attempt) {
+        const StreamHandle silent = engine.open();
+        bool cancelled = false;
+        endedEarly =
+            holdEndedEarly(engine, paced.handle, paced.nextChunk(), [&] {
+                cancelled = engine.cancel(silent);
+                EXPECT_TRUE(cancelled);
+            });
+        if (!cancelled) {
+            EXPECT_TRUE(engine.cancel(silent));
+        }
+        EXPECT_EQ(engine.state(silent), StreamState::Cancelled);
+        EXPECT_FALSE(engine.deadlineExpired(silent));
+    }
+    EXPECT_TRUE(endedEarly) << "cancel() never ended a hold early";
+    paced.finishAndCheck();
+}
+
+TEST_F(ApiEngineTest, FrameClockWaitEndsOnDeadline)
+{
+    // The silent stream's deadline falls a couple of milliseconds
+    // into the hold its partner's chunk starts: the watchdog's
+    // verdict ends the hold, long before the chunk would.
+    EngineOptions opts;
+    opts.numThreads = 2;
+    Engine engine(*model, opts);
+    PacedStream paced{engine};
+    bool endedEarly = false;
+    for (int attempt = 0; attempt < 20 && !endedEarly; ++attempt) {
+        api::StreamOptions sopts;
+        sopts.deadlineMs = 30;
+        const auto opened = std::chrono::steady_clock::now();
+        const StreamHandle silent = engine.open(sopts);
+        std::this_thread::sleep_until(opened +
+                                      std::chrono::milliseconds(28));
+        endedEarly =
+            holdEndedEarly(engine, paced.handle, paced.nextChunk(), [] {});
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (engine.state(silent) == StreamState::Open &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_EQ(engine.state(silent), StreamState::Cancelled);
+        EXPECT_TRUE(engine.deadlineExpired(silent));
+    }
+    EXPECT_TRUE(endedEarly) << "no deadline expiry ended a hold early";
+    EXPECT_GE(engine.stats().deadlinesExpired, 1u);
+    paced.finishAndCheck();
+}
+
+TEST_F(ApiEngineTest, FrameClockWaitEndsOnSubmit)
+{
+    // A one-shot job never waits: queueing one ends a hold, and its
+    // result is the reference's.
+    EngineOptions opts;
+    opts.numThreads = 2;
+    Engine engine(*model, opts);
+    PacedStream paced{engine};
+    const StreamHandle silent = engine.open();
+    const frontend::AudioSignal audio = testAudio(149, 3);
+    bool endedEarly = false;
+    for (int attempt = 0; attempt < 20 && !endedEarly; ++attempt) {
+        std::uint64_t id = 0;
+        std::future<pipeline::RecognitionResult> job;
+        endedEarly = holdEndedEarly(
+            engine, paced.handle, paced.nextChunk(), [&] {
+                id = engine.submittedCount();
+                job = engine.submit(audio);
+            });
+        if (!job.valid())
+            continue;
+        const auto got = job.get();
+        const auto want = referenceDecode(audio, id);
+        EXPECT_EQ(got.words, want.words);
+        EXPECT_EQ(got.score, want.score);
+    }
+    EXPECT_TRUE(endedEarly) << "submit() never ended a hold early";
+    EXPECT_EQ(engine.state(silent), StreamState::Open);
+    paced.finishAndCheck();
+}
+
+// ---------------------------------------------------------------------------
+// Hostile audio.
+// ---------------------------------------------------------------------------
+
+TEST_F(ApiEngineTest, NonFinitePushIsRejectedAndTheStreamDecodesOn)
+{
+    // NaN or +-Inf would flow through MFCC, the DNN and search into a
+    // silent empty result.  Such a chunk is rejected whole, queues
+    // nothing and leaves the stream Open; the finite pushes around it
+    // decode to the reference bits.
+    const frontend::AudioSignal audio = testAudio(153, 10);
+    const auto want = referenceDecode(audio);
+    ASSERT_FALSE(want.words.empty());
+    EngineOptions opts;
+    opts.numThreads = 2;
+    Engine engine(*model, opts);
+    const StreamHandle h = engine.open();
+
+    const float hostile[] = {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()};
+    const std::vector<float> &s = audio.samples;
+    std::size_t k = 0;
+    for (std::size_t base = 0; base < s.size(); base += 160, ++k) {
+        const std::size_t len = std::min<std::size_t>(160, s.size() - base);
+        std::vector<float> bad(s.begin() + base, s.begin() + base + len);
+        bad[k % len] = hostile[k % 3];
+        EXPECT_EQ(engine.pushFor(h, bad, std::chrono::nanoseconds(0)),
+                  api::PushResult::Rejected)
+            << "chunk " << k;
+        EXPECT_EQ(engine.state(h), StreamState::Open);
+        EXPECT_TRUE(engine.push(
+            h, std::span<const float>(s.data() + base, len)));
+    }
+    const auto got = engine.finish(h).get();
+    EXPECT_EQ(got.words, want.words);
+    EXPECT_EQ(got.score, want.score);
+
+    // The rule is net::decodeSamples's: denormals, +-0 and +-FLT_MAX
+    // are ordinary audio.
+    const StreamHandle extremes = engine.open();
+    const std::vector<float> edge = {std::numeric_limits<float>::denorm_min(),
+                                     -0.0f, 0.0f, FLT_MAX, -FLT_MAX};
+    EXPECT_EQ(engine.pushFor(extremes, edge, std::chrono::nanoseconds(0)),
+              api::PushResult::Ok);
+    EXPECT_TRUE(engine.cancel(extremes));
 }

@@ -18,6 +18,9 @@
  *    modes" in the test names: the engine's deferred scoring against
  *    the inline reference.)
  *  - Wake-word gating: nothing is decoded before the wake phrase.
+ *  - Hostile audio: chunks holding NaN or +-Inf are rejected before
+ *    they reach the endpointer, and the stream segments and decodes
+ *    as if they had never been pushed.
  *  - Races (concurrency label, TSan in CI): a client finish()
  *    landing while trailing silence is auto-finishing a segment
  *    resolves to exactly one final result.
@@ -25,6 +28,7 @@
 
 #include <atomic>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -357,6 +361,63 @@ TEST_F(EndpointingTest, SilentStreamYieldsEmptyFinalBothModes)
     EXPECT_EQ(final_result.score, empty.score);
     EXPECT_EQ(segments.load(), 0);
     EXPECT_EQ(engine.stats().segments, 0u);
+}
+
+TEST_F(EndpointingTest, NonFinitePushesNeverReachTheEndpointer)
+{
+    // Every finite chunk follows a copy of itself holding one NaN or
+    // +-Inf sample.  The engine rejects each copy before it is
+    // queued, so the endpointer sees only the recording: the same
+    // segments, each decoded to the manual reference.
+    const EndpointCorpusUtterance u = recording(3);
+    const std::vector<LabeledSegment> expect = expectedSegments(u);
+    ASSERT_EQ(expect.size(), 2u);
+    Engine engine(*model, engineOptions());
+
+    std::vector<SegmentRecord> segs;
+    std::mutex mu;
+    StreamOptions sopts;
+    sopts.autoEndpoint = true;
+    sopts.onSegment = [&](const pipeline::RecognitionResult &result,
+                          const server::SegmentBoundary &boundary) {
+        std::lock_guard<std::mutex> lock(mu);
+        segs.push_back(SegmentRecord{result, boundary});
+    };
+    const StreamHandle h = engine.open(sopts);
+    ASSERT_NE(h.value, 0u);
+    const float hostile[] = {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()};
+    const std::vector<float> &s = u.audio.samples;
+    std::size_t k = 0;
+    for (std::size_t base = 0; base < s.size(); base += 160, ++k) {
+        const std::size_t len = std::min<std::size_t>(160, s.size() - base);
+        std::vector<float> bad(s.begin() + base, s.begin() + base + len);
+        bad[k % len] = hostile[k % 3];
+        EXPECT_EQ(engine.pushFor(h, bad, std::chrono::nanoseconds(0)),
+                  api::PushResult::Rejected)
+            << "chunk " << k;
+        EXPECT_TRUE(engine.push(
+            h, std::span<const float>(s.data() + base, len)));
+    }
+    const pipeline::RecognitionResult final_result =
+        engine.finish(h).get();
+
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(segs.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(segs[i].boundary.startSample, expect[i].startSample);
+        EXPECT_EQ(segs[i].boundary.endSample, expect[i].endSample);
+        const pipeline::RecognitionResult manual = manualDecode(
+            std::span<const float>(s).subspan(
+                expect[i].startSample,
+                expect[i].endSample - expect[i].startSample),
+            segs[i].result.sessionId);
+        EXPECT_EQ(segs[i].result.words, manual.words) << "segment " << i;
+        EXPECT_EQ(segs[i].result.score, manual.score) << "segment " << i;
+    }
+    EXPECT_EQ(final_result.words, segs.back().result.words);
+    EXPECT_EQ(final_result.score, segs.back().result.score);
 }
 
 TEST_F(EndpointingTest, UnknownDetectorAndBareWakeWordAreRejected)

@@ -466,8 +466,8 @@ TEST(NetProtocol, StatsReplyRoundTrip)
     in.overloadState = 2;
     std::vector<std::uint8_t> payload;
     encodeStatsReply(payload, in);
-    // 32 engine fields and 3 server counters of 8 bytes, 1 state byte.
-    EXPECT_EQ(payload.size(), 32u * 8 + 3 * 8 + 1);
+    // 34 engine fields and 3 server counters of 8 bytes, 1 state byte.
+    EXPECT_EQ(payload.size(), 34u * 8 + 3 * 8 + 1);
 
     StatsReply out;
     ASSERT_TRUE(decodeStatsReply(payload, out));
