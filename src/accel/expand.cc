@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "accel/address_map.hh"
+#include "common/compiler.hh"
 #include "common/logging.hh"
 
 namespace asr::accel {
@@ -58,20 +59,71 @@ Expander::resolveState(wfst::StateId s, TokenOp &op)
 wfst::LogProb
 Expander::frameThreshold()
 {
-    wfst::LogProb threshold = cur->bestScore() - cfg.beam;
-    if (cfg.maxActive > 0 && cur->size() > cfg.maxActive) {
-        // Histogram pruning over the tokens live at frame start,
-        // identical to the software decoder's rule.
-        cutoffScratch.clear();
-        for (std::size_t t = 0; t < cur->size(); ++t)
-            cutoffScratch.push_back(cur->token(t).score);
-        auto kth = cutoffScratch.begin() + (cfg.maxActive - 1);
-        std::nth_element(cutoffScratch.begin(), kth,
-                         cutoffScratch.end(),
-                         std::greater<wfst::LogProb>());
-        threshold = std::max(threshold, *kth);
+    const wfst::LogProb beam_cut = cur->bestScore() - cfg.beam;
+    if (cfg.maxActive == 0 || cur->size() <= cfg.maxActive)
+        return beam_cut;
+
+    // Histogram pruning over the tokens live at frame start,
+    // identical to the software decoder's rule: the cutoff rises to
+    // the maxActive-th best score.  Only scores inside the beam can
+    // lift it; with fewer than maxActive of them, that score lies
+    // below beam_cut and the beam alone decides.
+    cutoffScratch.clear();
+    for (std::size_t t = 0; t < cur->size(); ++t) {
+        const wfst::LogProb score = cur->token(t).score;
+        if (score >= beam_cut)
+            cutoffScratch.push_back(score);
     }
-    return threshold;
+    if (cutoffScratch.size() < cfg.maxActive)
+        return beam_cut;
+    auto kth = cutoffScratch.begin() + (cfg.maxActive - 1);
+    std::nth_element(cutoffScratch.begin(), kth, cutoffScratch.end(),
+                     std::greater<wfst::LogProb>());
+    return *kth;
+}
+
+Expander::ArcSpan
+Expander::arcSpan(wfst::StateId s) const
+{
+    if (cfg.bandwidthOptEnabled) {
+        const auto direct = sorted->lookup(s);
+        if (direct.direct)
+            return ArcSpan{direct.firstArc, direct.numArcs};
+    }
+    const wfst::StateEntry &e = net.state(s);
+    return ArcSpan{e.firstArc, e.numArcs()};
+}
+
+void
+Expander::prefetchAhead(std::size_t t, wfst::LogProb threshold) const
+{
+    // Three stages, each a few live-list entries ahead of the read:
+    // the token's hash entry, then its arc range (the entry has
+    // arrived by then), then the hash buckets its arcs will upsert
+    // (the arcs have arrived).  Tokens that the
+    // beam will cut are skipped.  Hints only: results never change.
+    const std::size_t live = cur->size();
+    if (t + 8 < live)
+        cur->prefetchToken(t + 8);
+    if (t + 4 < live) {
+        const TokenSlot ahead = cur->token(t + 4);
+        if (ahead.score >= threshold) {
+            const ArcSpan span = arcSpan(ahead.state);
+            ASR_PREFETCH(&net.arc(span.first));
+            if (span.count > 1)
+                ASR_PREFETCH(&net.arc(span.first + span.count - 1));
+        }
+    }
+    if (t + 2 < live) {
+        const TokenSlot ahead = cur->token(t + 2);
+        if (ahead.score >= threshold) {
+            const ArcSpan span = arcSpan(ahead.state);
+            for (std::uint32_t i = 0; i < span.count; ++i) {
+                const wfst::ArcEntry &arc = net.arc(span.first + i);
+                (arc.isEpsilon() ? cur : next)->prefetchBucket(arc.dest);
+            }
+        }
+    }
 }
 
 void
@@ -122,6 +174,7 @@ Expander::expandFrame(std::span<const float> scores, FrameTrace &trace)
     // The live list grows while we walk it: epsilon arcs create or
     // improve tokens of the *current* frame, which the hash requeues.
     for (std::size_t t = 0; t < cur->size(); ++t) {
+        prefetchAhead(t, threshold);
         const TokenSlot tok = cur->readForProcess(t);
         TokenOp op;
         if (tok.score < threshold) {
@@ -131,7 +184,7 @@ Expander::expandFrame(std::span<const float> scores, FrameTrace &trace)
             continue;
         }
         ++stats.tokensExpanded;
-        ++visits[tok.state];
+        expandedStates.push_back(tok.state);
 
         const ArcRange range = resolveState(tok.state, op);
         op.arcOpBegin = std::uint32_t(trace.arcOps.size());
@@ -163,6 +216,12 @@ Expander::expandFrame(std::span<const float> scores, FrameTrace &trace)
             std::uint32_t(trace.arcOps.size()) - op.arcOpBegin;
         trace.tokenOps.push_back(op);
     }
+
+    // Count the visits in one pass: the increments are independent,
+    // so their cache misses overlap instead of stalling the walk.
+    for (const wfst::StateId s : expandedStates)
+        ++visits[s];
+    expandedStates.clear();
 
     std::swap(cur, next);
     next->clear();

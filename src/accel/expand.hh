@@ -115,6 +115,17 @@ class Expander
 
     ArcRange resolveState(wfst::StateId s, TokenOp &op);
 
+    /** Arc range of a state, read without touching the trace. */
+    struct ArcSpan
+    {
+        wfst::ArcId first;
+        std::uint32_t count;
+    };
+    ArcSpan arcSpan(wfst::StateId s) const;
+
+    /** Software prefetch for the tokens after live entry @p t. */
+    void prefetchAhead(std::size_t t, wfst::LogProb threshold) const;
+
     /** Frame threshold: beam pruning plus histogram pruning. */
     wfst::LogProb frameThreshold();
 
@@ -133,6 +144,7 @@ class Expander
     std::vector<BackRecord> arena;
     std::vector<wfst::LogProb> cutoffScratch;
     std::vector<std::uint64_t> visits;
+    std::vector<wfst::StateId> expandedStates;  //!< this frame's, in order
     decoder::DecodeStats stats;
     std::uint64_t directCount = 0;
     std::uint64_t fetchCount = 0;

@@ -7,158 +7,29 @@
 
 namespace asr::accel {
 
-// Slot-link encoding shared by chain pointers and the live list:
-//   0                      -> end of chain / invalid
-//   1 .. P                 -> primary[v - 1]
-//   P+1 .. P+B             -> backup[v - P - 1]
-//   negative               -> overflow[-v - 1]
-
 TokenHash::TokenHash(unsigned entries, unsigned backup_entries,
                      bool ideal_mode)
-    : primary(entries), backup(backup_entries), ideal(ideal_mode),
+    : slots(std::size_t(entries) + backup_entries), numPrimary(entries),
+      onChip(entries + backup_entries), ideal(ideal_mode),
       mask(entries - 1)
 {
     ASR_ASSERT(entries > 0 && isPowerOf2(entries),
                "hash entries must be a power of two");
-}
-
-unsigned
-TokenHash::bucketOf(wfst::StateId state) const
-{
-    // Multiplicative hashing (Knuth): cheap in hardware, spreads the
-    // low-entropy state ids produced by the sorted layout.
-    return unsigned((state * 2654435761u) >> 8) & mask;
-}
-
-TokenHash::Slot &
-TokenHash::slotAt(std::int64_t link)
-{
-    ASR_ASSERT(link != 0, "dereference of null slot link");
-    if (link < 0)
-        return overflow[std::size_t(-link - 1)];
-    auto idx = std::size_t(link - 1);
-    if (idx < primary.size())
-        return primary[idx];
-    return backup[idx - primary.size()];
-}
-
-TokenHash::UpsertResult
-TokenHash::upsert(wfst::StateId state, wfst::LogProb score,
-                  std::uint32_t backpointer)
-{
-    UpsertResult result;
-    ++stats_.requests;
-
-    const unsigned bucket = bucketOf(state);
-    Slot &head = primary[bucket];
-    const std::int64_t head_link = std::int64_t(bucket) + 1;
-
-    auto improve = [&](Slot &slot, std::int64_t link) {
-        if (score > slot.tok.score) {
-            slot.tok.score = score;
-            slot.tok.backpointer = backpointer;
-            result.improved = true;
-            best = std::max(best, score);
-            if (!slot.tok.pending) {
-                // Already read this frame: requeue so the improved
-                // score gets expanded too.
-                slot.tok.pending = true;
-                liveList.push_back(link);
-            }
-        }
-    };
-
-    unsigned chain = 0;
-    if (head.gen != generation) {
-        // Empty bucket: claim it.
-        head.gen = generation;
-        head.tok = TokenSlot{state, score, backpointer, true};
-        head.next = 0;
-        liveList.push_back(head_link);
-        ++distinct;
-        result.isNew = true;
-        result.improved = true;
-        best = std::max(best, score);
-    } else if (head.tok.state == state) {
-        improve(head, head_link);
-    } else {
-        // Walk the collision chain.
-        ++stats_.collisionWalks;
-        std::int64_t prev = head_link;
-        std::int64_t cur = head.next;
-        bool done = false;
-        while (cur != 0) {
-            ++chain;
-            if (cur < 0)
-                ++result.overflowHops;
-            Slot &slot = slotAt(cur);
-            if (slot.tok.state == state) {
-                improve(slot, cur);
-                done = true;
-                break;
-            }
-            prev = cur;
-            cur = slot.next;
-        }
-        if (!done) {
-            // Append a new collision slot: backup buffer first, then
-            // the off-chip overflow buffer.
-            ++chain;
-            std::int64_t link;
-            if (backupUsed < backup.size()) {
-                link = std::int64_t(primary.size() + backupUsed) + 1;
-                backup[backupUsed] =
-                    Slot{generation, TokenSlot{state, score,
-                                               backpointer, true}, 0};
-                ++backupUsed;
-            } else {
-                overflow.push_back(
-                    Slot{generation, TokenSlot{state, score,
-                                               backpointer, true}, 0});
-                link = -std::int64_t(overflow.size());
-                ++result.overflowHops;
-            }
-            slotAt(prev).next = link;
-            liveList.push_back(link);
-            ++distinct;
-            result.isNew = true;
-            result.improved = true;
-            best = std::max(best, score);
-        }
-    }
-
-    result.cycles = ideal ? 1 : 1 + chain;
-    stats_.cycles += result.cycles;
-    stats_.overflowHops += result.overflowHops;
-    stats_.maxChain = std::max<std::uint64_t>(stats_.maxChain, chain);
-    if (ideal)
-        result.overflowHops = 0;
-    return result;
-}
-
-const TokenSlot &
-TokenHash::token(std::size_t i) const
-{
-    ASR_ASSERT(i < liveList.size(), "token index %zu out of range", i);
-    return const_cast<TokenHash *>(this)->slotAt(liveList[i]).tok;
-}
-
-TokenSlot
-TokenHash::readForProcess(std::size_t i)
-{
-    ASR_ASSERT(i < liveList.size(), "token index %zu out of range", i);
-    TokenSlot &slot = slotAt(liveList[i]).tok;
-    slot.pending = false;
-    return slot;
+    ASR_ASSERT(std::uint64_t(entries) + backup_entries < kLinkMask,
+               "hash too large for its slot links");
 }
 
 void
 TokenHash::clear()
 {
-    ++generation;
+    // Backup and overflow slots are rewritten whole when claimed;
+    // only the primary buckets carry an emptiness mark.
+    for (const std::uint32_t link : liveList)
+        if (link <= numPrimary)
+            slotAt(link).state = wfst::kNoState;
+    slots.resize(onChip);
     backupUsed = 0;
     distinct = 0;
-    overflow.clear();
     liveList.clear();
     best = wfst::kLogZero;
 }

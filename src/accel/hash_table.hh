@@ -19,9 +19,13 @@
 #ifndef ASR_ACCEL_HASH_TABLE_HH
 #define ASR_ACCEL_HASH_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/aligned.hh"
+#include "common/compiler.hh"
+#include "common/logging.hh"
 #include "wfst/types.hh"
 
 namespace asr::accel {
@@ -95,54 +99,203 @@ class TokenHash
     std::size_t distinctTokens() const { return distinct; }
 
     /** Token @p i in insertion order (the State Issuer's walk). */
-    const TokenSlot &token(std::size_t i) const;
+    TokenSlot
+    token(std::size_t i) const
+    {
+        ASR_ASSERT(i < liveList.size(), "token index %zu out of range", i);
+        return tokenOf(slotAt(liveList[i]));
+    }
 
     /** Read token @p i for processing, clearing its pending flag. */
-    TokenSlot readForProcess(std::size_t i);
+    TokenSlot
+    readForProcess(std::size_t i)
+    {
+        ASR_ASSERT(i < liveList.size(), "token index %zu out of range", i);
+        Slot &slot = slotAt(liveList[i]);
+        slot.link &= kLinkMask;
+        return tokenOf(slot);
+    }
+
+    /** Hint: pull token @p i's entry toward the core. */
+    void
+    prefetchToken(std::size_t i) const
+    {
+        ASR_PREFETCH(&slotAt(liveList[i]));
+    }
+
+    /** Hint: pull the primary bucket of @p state toward the core. */
+    void
+    prefetchBucket(wfst::StateId state) const
+    {
+        ASR_PREFETCH(&slots[bucketOf(state)]);
+    }
 
     /** Best score among live tokens (the frame's pruning anchor). */
     wfst::LogProb bestScore() const { return best; }
 
-    /** Clear all tokens (frame swap); O(1) via generation bump. */
+    /**
+     * Clear all tokens (frame swap).  Empties the primary buckets the
+     * live list names, so it costs one store per live-list entry.
+     */
     void clear();
 
     /** Occupied overflow slots in the current frame. */
-    std::size_t overflowSize() const { return overflow.size(); }
+    std::size_t overflowSize() const { return slots.size() - onChip; }
 
     const HashStats &stats() const { return stats_; }
     void clearStats() { stats_ = HashStats(); }
 
-    unsigned numEntries() const { return unsigned(primary.size()); }
+    unsigned numEntries() const { return numPrimary; }
 
   private:
-    /** Chain link: 0 = end, >0 = backup[v-1], <0 = overflow[-v-1]. */
+    /**
+     * One hash entry (16 B).  A primary bucket is empty when its state
+     * is kNoState.  @c link holds the next slot of the collision chain
+     * (0 = end of chain, see slotAt()) in its low bits and the pending
+     * flag in its top bit.
+     */
     struct Slot
     {
-        std::uint64_t gen = 0;
-        TokenSlot tok;
-        std::int64_t next = 0;
+        wfst::StateId state = wfst::kNoState;
+        wfst::LogProb score = wfst::kLogZero;
+        std::uint32_t backpointer = 0;
+        std::uint32_t link = 0;
     };
 
-    unsigned bucketOf(wfst::StateId state) const;
-    Slot &slotAt(std::int64_t link);
+    static constexpr std::uint32_t kPending = 0x80000000u;
+    static constexpr std::uint32_t kLinkMask = kPending - 1;
 
-    std::vector<Slot> primary;
-    std::vector<Slot> backup;
-    std::vector<Slot> overflow;
-    std::size_t backupUsed = 0;
+    unsigned
+    bucketOf(wfst::StateId state) const
+    {
+        // Multiplicative hashing (Knuth): cheap in hardware, spreads
+        // the low-entropy state ids produced by the sorted layout.
+        return unsigned((state * 2654435761u) >> 8) & mask;
+    }
+
+    /** Slot behind a non-zero link: slots[link - 1]. */
+    Slot &slotAt(std::uint32_t link) { return slots[link - 1]; }
+    const Slot &slotAt(std::uint32_t link) const { return slots[link - 1]; }
+
+    static TokenSlot
+    tokenOf(const Slot &slot)
+    {
+        return TokenSlot{slot.state, slot.score, slot.backpointer,
+                         (slot.link & kPending) != 0};
+    }
+
+    /**
+     * Primary buckets, then the on-chip backup buffer, then the
+     * off-chip overflow buffer, which grows on demand and shrinks
+     * back on clear().  A link is a slot index plus one.
+     */
+    CacheAlignedVector<Slot> slots;
+    std::uint32_t numPrimary;
+    std::uint32_t onChip;          //!< primary + backup slots
+    std::uint32_t backupUsed = 0;
     std::size_t distinct = 0;
-    std::uint64_t generation = 1;
     bool ideal;
     unsigned mask;
     wfst::LogProb best = wfst::kLogZero;
 
-    /** Live tokens in insertion order: encoded slot links. */
-    std::vector<std::int64_t> liveList;
-    /** Primary-slot encoding for the live list: primary[i] as i+1
-     *  with a tag bit; see implementation. */
+    /** Live tokens in insertion order, as slot links. */
+    std::vector<std::uint32_t> liveList;
 
     HashStats stats_;
 };
+
+// Inline: the search calls it once per arc, and returning the result
+// through a call would round-trip it through the stack.
+ASR_ALWAYS_INLINE TokenHash::UpsertResult
+TokenHash::upsert(wfst::StateId state, wfst::LogProb score,
+                  std::uint32_t backpointer)
+{
+    UpsertResult result;
+    ++stats_.requests;
+
+    const unsigned bucket = bucketOf(state);
+    const std::uint32_t head_link = bucket + 1;
+    Slot &head = slotAt(head_link);
+
+    auto improve = [&](Slot &slot, std::uint32_t link) {
+        if (score > slot.score) {
+            slot.score = score;
+            slot.backpointer = backpointer;
+            result.improved = true;
+            best = std::max(best, score);
+            if (!(slot.link & kPending)) {
+                // Already read this frame: requeue so the improved
+                // score gets expanded too.
+                slot.link |= kPending;
+                liveList.push_back(link);
+            }
+        }
+    };
+
+    unsigned chain = 0;
+    if (head.state == wfst::kNoState) {
+        // Empty bucket: claim it.
+        head = Slot{state, score, backpointer, kPending};
+        liveList.push_back(head_link);
+        ++distinct;
+        result.isNew = true;
+        result.improved = true;
+        best = std::max(best, score);
+    } else if (head.state == state) {
+        improve(head, head_link);
+    } else {
+        // Walk the collision chain.
+        ++stats_.collisionWalks;
+        std::uint32_t prev = head_link;
+        std::uint32_t cur = head.link & kLinkMask;
+        bool done = false;
+        while (cur != 0) {
+            ++chain;
+            if (cur > onChip)
+                ++result.overflowHops;
+            Slot &slot = slotAt(cur);
+            if (slot.state == state) {
+                improve(slot, cur);
+                done = true;
+                break;
+            }
+            prev = cur;
+            cur = slot.link & kLinkMask;
+        }
+        if (!done) {
+            // Append a new collision slot: backup buffer first, then
+            // the off-chip overflow buffer.
+            ++chain;
+            const Slot fresh{state, score, backpointer, kPending};
+            std::uint32_t link;
+            if (onChip - numPrimary > backupUsed) {
+                link = numPrimary + backupUsed + 1;
+                slotAt(link) = fresh;
+                ++backupUsed;
+            } else {
+                ASR_ASSERT(slots.size() < kLinkMask,
+                           "overflow buffer exceeds the slot links");
+                slots.push_back(fresh);
+                link = std::uint32_t(slots.size());
+                ++result.overflowHops;
+            }
+            slotAt(prev).link |= link;
+            liveList.push_back(link);
+            ++distinct;
+            result.isNew = true;
+            result.improved = true;
+            best = std::max(best, score);
+        }
+    }
+
+    result.cycles = ideal ? 1 : 1 + chain;
+    stats_.cycles += result.cycles;
+    stats_.overflowHops += result.overflowHops;
+    stats_.maxChain = std::max<std::uint64_t>(stats_.maxChain, chain);
+    if (ideal)
+        result.overflowHops = 0;
+    return result;
+}
 
 } // namespace asr::accel
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/compiler.hh"
 #include "common/logging.hh"
 
 namespace asr::accel {
@@ -28,36 +29,33 @@ TimingEngine::TimingEngine(const AcceleratorConfig &config)
       arcFifo(arcDepth(config)),
       requestQ(arcDepth(config)),
       rob(arcDepth(config)),
-      evalQ(8)
+      arcOutstanding(arcDepth(config)),
+      evalQ(8),
+      tokenFills(config.tokenIssuerInflight),
+      tokenFillsWaiting(config.tokenIssuerInflight)
 {
-    stateWindow.reserve(config.stateIssuerInflight);
+    stateWindow.resize(config.stateIssuerInflight);
 }
 
-void
+ASR_ALWAYS_INLINE void
 TimingEngine::pollTokenFills()
 {
-    for (auto it = tokenFills.begin(); it != tokenFills.end();) {
-        if (it->issued && dram_.ready(it->req, now_)) {
-            dram_.retire(it->req);
-            it = tokenFills.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    // Retry fills whose issue was rejected by the controller.
-    for (auto &fill : tokenFills) {
-        if (!fill.issued) {
-            const sim::RequestId req = dram_.issue(
-                fill.addr, sim::DataClass::Token, false, now_);
-            if (req != sim::kNoRequest) {
-                fill.issued = true;
-                fill.req = req;
-            }
-        }
+    while (!tokenFills.empty() && tokenFills.front().readyAt <= now_)
+        dram_.retire(tokenFills.pop().req);
+    // Retry fills whose issue was rejected by the controller, oldest
+    // first; a fill rejected again goes back in line behind the rest.
+    for (std::size_t n = tokenFillsWaiting.size(); n > 0; --n) {
+        const sim::Addr addr = tokenFillsWaiting.pop();
+        const sim::RequestId req =
+            dram_.issue(addr, sim::DataClass::Token, false, now_);
+        if (req != sim::kNoRequest)
+            tokenFills.push(Issued{req, dram_.readyAt(req)});
+        else
+            tokenFillsWaiting.push(addr);
     }
 }
 
-void
+ASR_ALWAYS_INLINE void
 TimingEngine::tickTokenIssuer(const FrameTrace &trace)
 {
     pollTokenFills();
@@ -68,7 +66,6 @@ TimingEngine::tickTokenIssuer(const FrameTrace &trace)
         if (!op.hashRequest) {
             // Filtered or below-threshold arc: retires silently.
             evalQ.pop();
-            ++evalRetired;
             --budget;
             continue;
         }
@@ -78,7 +75,8 @@ TimingEngine::tickTokenIssuer(const FrameTrace &trace)
             break;
         }
         if (op.tokenWrite) {
-            if (tokenFills.size() >= cfg.tokenIssuerInflight) {
+            if (tokenFills.size() + tokenFillsWaiting.size() >=
+                cfg.tokenIssuerInflight) {
                 ++stalls_.tokenFill;
                 break;
             }
@@ -89,14 +87,12 @@ TimingEngine::tickTokenIssuer(const FrameTrace &trace)
             if (!res.hit) {
                 // Write-allocate: fetch the line, tracked in the
                 // 32-entry token write window.
-                TokenFill fill{op.tokenAddr, false, 0};
                 const sim::RequestId req = dram_.issue(
                     op.tokenAddr, sim::DataClass::Token, false, now_);
-                if (req != sim::kNoRequest) {
-                    fill.issued = true;
-                    fill.req = req;
-                }
-                tokenFills.push_back(fill);
+                if (req != sim::kNoRequest)
+                    tokenFills.push(Issued{req, dram_.readyAt(req)});
+                else
+                    tokenFillsWaiting.push(op.tokenAddr);
             }
         }
         // The hash is busy for the chain walk; off-chip overflow
@@ -110,13 +106,12 @@ TimingEngine::tickTokenIssuer(const FrameTrace &trace)
         }
         port = now_ + busy;
         evalQ.pop();
-        ++evalRetired;
         --budget;
     }
 }
 
-void
-TimingEngine::tickArcRelease(const FrameTrace &trace)
+ASR_ALWAYS_INLINE void
+TimingEngine::tickArcRelease()
 {
     if (arcFifo.empty() || evalQ.full())
         return;
@@ -125,46 +120,34 @@ TimingEngine::tickArcRelease(const FrameTrace &trace)
     // The Acoustic-likelihood Issuer admits one arc at a time; an
     // emitting arc occupies it for the buffer-read latency.  Epsilon
     // and filtered arcs bypass the buffer.
-    const ArcOp &op = trace.arcOps[head.arcOpIdx];
-    const bool needs_acoustic = op.evaluated && !op.epsilon;
-    if (needs_acoustic && now_ < acousticFreeAt)
+    if (head.needsAcoustic && now_ < acousticFreeAt)
         return;
 
-    auto release = [&] {
-        if (needs_acoustic)
-            acousticFreeAt = now_ + cfg.acousticReadCycles;
-        evalQ.push(arcFifo.pop().arcOpIdx);
-    };
-
-    if (head.robSlot < 0) {
-        // Hit at issue: the block is guaranteed present because
-        // blocks commit in FIFO order (Sec. IV-A).
-        release();
-        return;
-    }
-    if (rob.headReady()) {
+    // An arc that hit at issue finds its block present: blocks commit
+    // in FIFO order (Sec. IV-A).  A missed one waits for the ROB head.
+    if (head.missed) {
+        if (!rob.headReady()) {
+            ++stalls_.arcData;
+            return;
+        }
         ASR_ASSERT(rob.headPayload() == head.arcOpIdx,
                    "ROB/Arc FIFO order out of sync");
         rob.releaseHead();
-        release();
-    } else {
-        ++stalls_.arcData;
     }
+    if (head.needsAcoustic)
+        acousticFreeAt = now_ + cfg.acousticReadCycles;
+    evalQ.push(arcFifo.pop().arcOpIdx);
 }
 
-void
+ASR_ALWAYS_INLINE void
 TimingEngine::tickArcIssue(const FrameTrace &trace)
 {
     // Returning blocks land in the Reorder Buffer.
-    for (auto it = arcOutstanding.begin();
-         it != arcOutstanding.end();) {
-        if (dram_.ready(it->req, now_)) {
-            dram_.retire(it->req);
-            rob.markReady(it->robSlot);
-            it = arcOutstanding.erase(it);
-        } else {
-            ++it;
-        }
+    while (!arcOutstanding.empty() &&
+           arcOutstanding.front().mem.readyAt <= now_) {
+        const ArcRequest done = arcOutstanding.pop();
+        dram_.retire(done.mem.req);
+        rob.markReady(done.robSlot);
     }
 
     // One request per cycle leaves the Request FIFO.
@@ -173,7 +156,9 @@ TimingEngine::tickArcIssue(const FrameTrace &trace)
         const sim::RequestId req = dram_.issue(
             pending.addr, sim::DataClass::Arc, false, now_);
         if (req != sim::kNoRequest) {
-            arcOutstanding.push_back(ArcRequest{req, pending.robSlot});
+            arcOutstanding.push(
+                ArcRequest{Issued{req, dram_.readyAt(req)},
+                           pending.robSlot});
             requestQ.pop();
         }
     }
@@ -185,9 +170,12 @@ TimingEngine::tickArcIssue(const FrameTrace &trace)
     const auto [begin, count] = arcWorkQ.front();
     const std::uint32_t idx = begin + arcCursor;
     const ArcOp &op = trace.arcOps[idx];
+    // Arcs issue close to trace order, so the tag set of an arc a
+    // little further on is a good guess at one needed soon.
+    if (idx + kArcTagLookahead < trace.arcOps.size())
+        arcCache_.prefetch(trace.arcOps[idx + kArcTagLookahead].addr);
 
-    if (!arcCache_.probe(op.addr) &&
-        (rob.full() || requestQ.full())) {
+    if ((rob.full() || requestQ.full()) && !arcCache_.probe(op.addr)) {
         // Structural stall: no room to track another miss.
         ++stalls_.arcData;
         return;
@@ -196,12 +184,13 @@ TimingEngine::tickArcIssue(const FrameTrace &trace)
     const auto res = arcCache_.access(op.addr, false);
     if (res.writeback)
         dram_.countWrite(sim::DataClass::Arc, cfg.arcCache.lineBytes);
+    const bool needs_acoustic = op.evaluated && !op.epsilon;
     if (res.hit) {
-        arcFifo.push(ArcFlight{idx, -1});
+        arcFifo.push(ArcFlight{idx, false, needs_acoustic});
     } else {
-        const std::size_t slot = rob.allocate(idx);
+        const auto slot = std::uint32_t(rob.allocate(idx));
         requestQ.push(PendingArcRequest{op.addr, slot});
-        arcFifo.push(ArcFlight{idx, std::int32_t(slot)});
+        arcFifo.push(ArcFlight{idx, true, needs_acoustic});
     }
 
     if (++arcCursor >= count) {
@@ -210,59 +199,73 @@ TimingEngine::tickArcIssue(const FrameTrace &trace)
     }
 }
 
-void
+ASR_ALWAYS_INLINE void
 TimingEngine::tickStateIssuer(const FrameTrace &trace)
 {
-    // Completions and deferred issues for in-flight state fetches.
-    for (auto &flight : stateWindow) {
-        if (flight.ready)
-            continue;
-        if (flight.issued) {
-            if (dram_.ready(flight.req, now_)) {
-                dram_.retire(flight.req);
-                flight.ready = true;
-            }
-        } else {
-            const sim::Addr addr =
-                trace.tokenOps[flight.tokenOpIdx].stateAddr;
-            const sim::RequestId req = dram_.issue(
-                addr, sim::DataClass::State, false, now_);
-            if (req != sim::kNoRequest) {
-                flight.issued = true;
-                flight.req = req;
+    const unsigned cap = cfg.stateIssuerInflight;
+
+    // Completions and deferred issues for in-flight state fetches, in
+    // window order: a retire can free the DRAM slot a later entry's
+    // retry takes in the same cycle.  Nothing to do while no entry
+    // waits for a DRAM slot and no fetch has come back.
+    if (stateWaiting > 0 || now_ >= stateNextReady) {
+        Cycles next = kNever;
+        for (unsigned k = 0; k < stateCount; ++k) {
+            StateFlight &flight = stateAt(k);
+            if (flight.phase == StatePhase::Fetching) {
+                if (dram_.ready(flight.req, now_)) {
+                    dram_.retire(flight.req);
+                    flight.phase = StatePhase::Ready;
+                    ++stateReady;
+                } else {
+                    next = std::min(next, dram_.readyAt(flight.req));
+                }
+            } else if (flight.phase == StatePhase::Waiting) {
+                const sim::RequestId req = dram_.issue(
+                    trace.tokenOps[flight.tokenOpIdx].stateAddr,
+                    sim::DataClass::State, false, now_);
+                if (req != sim::kNoRequest) {
+                    flight.phase = StatePhase::Fetching;
+                    flight.req = req;
+                    --stateWaiting;
+                    next = std::min(next, dram_.readyAt(req));
+                }
             }
         }
+        stateNextReady = next;
     }
 
     // Release one resolved state per cycle into the Arc Issuer's
     // work queue.  Tokens are mutually independent, so the window
     // completes out of order: a hit behind a pending miss is not
     // blocked (the 8 in-flight states act as MSHRs, not a queue).
-    if (!stateWindow.empty()) {
-        auto ready_it = stateWindow.end();
-        for (auto it = stateWindow.begin(); it != stateWindow.end();
-             ++it) {
-            if (it->ready) {
-                ready_it = it;
-                break;
-            }
-        }
-        if (ready_it == stateWindow.end()) {
+    if (stateCount > 0) {
+        if (stateReady == 0) {
             ++stalls_.stateFetch;
         } else {
-            const TokenOp &op = trace.tokenOps[ready_it->tokenOpIdx];
-            if (op.arcOpCount == 0) {
-                stateWindow.erase(ready_it);
-            } else if (!arcWorkQ.full()) {
-                arcWorkQ.push({op.arcOpBegin, op.arcOpCount});
-                stateWindow.erase(ready_it);
+            unsigned k = 0;
+            while (stateAt(k).phase != StatePhase::Ready)
+                ++k;
+            const StateFlight &flight = stateAt(k);
+            bool released = flight.arcOpCount == 0;
+            if (!released && !arcWorkQ.full()) {
+                arcWorkQ.push({flight.arcOpBegin, flight.arcOpCount});
+                released = true;
+            }
+            if (released) {
+                // Close the gap from the old end; usually k is 0.
+                for (; k > 0; --k)
+                    stateAt(k) = stateAt(k - 1);
+                if (++stateHead == cap)
+                    stateHead = 0;
+                --stateCount;
+                --stateReady;
             }
         }
     }
 
     // Intake: one token read from the hash per cycle.
-    if (tokenCursor >= trace.tokenOps.size() ||
-        stateWindow.size() >= cfg.stateIssuerInflight)
+    if (tokenCursor >= numTokenOps || stateCount >= cap)
         return;
     const TokenOp &op = trace.tokenOps[tokenCursor];
     if (now_ < hashCurFreeAt) {
@@ -278,35 +281,40 @@ TimingEngine::tickStateIssuer(const FrameTrace &trace)
         return;
     }
 
-    StateFlight flight{tokenCursor, false, false, 0};
-    if (!op.needsStateFetch) {
-        // Sec. IV-B comparator hit (or a pre-resolved seed token).
-        flight.ready = true;
-    } else {
+    StateFlight &flight = stateAt(stateCount++);
+    flight = StateFlight{tokenCursor, op.arcOpBegin, op.arcOpCount, 0,
+                         StatePhase::Ready};
+    if (op.needsStateFetch) {
         const auto res = stateCache_.access(op.stateAddr, false);
         if (res.writeback)
             dram_.countWrite(sim::DataClass::State,
                              cfg.stateCache.lineBytes);
-        if (res.hit) {
-            flight.ready = true;
-        } else {
+        if (!res.hit) {
+            // Not Ready (comparator hit, seed token or cache hit):
+            // the entry waits for DRAM.
             const sim::RequestId req = dram_.issue(
                 op.stateAddr, sim::DataClass::State, false, now_);
             if (req != sim::kNoRequest) {
-                flight.issued = true;
+                flight.phase = StatePhase::Fetching;
                 flight.req = req;
+                stateNextReady =
+                    std::min(stateNextReady, dram_.readyAt(req));
+            } else {
+                flight.phase = StatePhase::Waiting;
+                ++stateWaiting;
             }
         }
     }
-    stateWindow.push_back(flight);
+    if (flight.phase == StatePhase::Ready)
+        ++stateReady;
     ++tokenCursor;
 }
 
 bool
-TimingEngine::frameDone(const FrameTrace &trace) const
+TimingEngine::frameDone() const
 {
-    return tokenCursor >= trace.tokenOps.size() &&
-           stateWindow.empty() && arcWorkQ.empty() &&
+    return tokenCursor >= numTokenOps && stateCount == 0 &&
+           arcWorkQ.empty() &&
            arcFifo.empty() && requestQ.empty() &&
            arcOutstanding.empty() && evalQ.empty() &&
            now_ >= hashCurFreeAt && now_ >= hashNextFreeAt;
@@ -328,9 +336,13 @@ TimingEngine::replayFrame(const FrameTrace &trace)
     }
 
     tokenCursor = 0;
+    numTokenOps = std::uint32_t(trace.tokenOps.size());
     arcCursor = 0;
-    evalRetired = 0;
-    stateWindow.clear();
+    stateHead = 0;
+    stateCount = 0;
+    stateWaiting = 0;
+    stateReady = 0;
+    stateNextReady = kNever;
     arcWorkQ.clear();
     arcFifo.clear();
     requestQ.clear();
@@ -345,12 +357,12 @@ TimingEngine::replayFrame(const FrameTrace &trace)
         Cycles(trace.tokenOps.size() + trace.arcOps.size()) *
             (cfg.dram.latency + 64);
 
-    while (!frameDone(trace)) {
+    while (!frameDone()) {
         ++now_;
         ASR_ASSERT(now_ < limit, "timing model deadlock at cycle %llu",
                    static_cast<unsigned long long>(now_));
         tickTokenIssuer(trace);
-        tickArcRelease(trace);
+        tickArcRelease();
         tickArcIssue(trace);
         tickStateIssuer(trace);
     }
@@ -361,7 +373,7 @@ Cycles
 TimingEngine::drain()
 {
     const Cycles start = now_;
-    while (!tokenFills.empty()) {
+    while (!tokenFills.empty() || !tokenFillsWaiting.empty()) {
         ++now_;
         ASR_ASSERT(now_ - start < 1000000, "drain deadlock");
         pollTokenFills();
@@ -372,7 +384,8 @@ TimingEngine::drain()
 void
 TimingEngine::clearStats()
 {
-    ASR_ASSERT(tokenFills.empty() && arcOutstanding.empty(),
+    ASR_ASSERT(tokenFills.empty() && tokenFillsWaiting.empty() &&
+                   arcOutstanding.empty(),
                "clearStats with requests in flight");
     stateCache_.clearStats();
     arcCache_.clearStats();

@@ -78,51 +78,73 @@ class TimingEngine
     void invalidateCaches();
 
   private:
+    static constexpr Cycles kNever = ~Cycles(0);
+
+    /** Arcs ahead of the Arc Issuer whose tag sets are prefetched. */
+    static constexpr std::uint32_t kArcTagLookahead = 8;
+
     // ---- pipeline bookkeeping types ----
 
-    /** State Issuer in-flight entry. */
+    /** Where a State Issuer entry stands. */
+    enum class StatePhase : std::uint8_t {
+        Waiting,   //!< state fetch missed, DRAM issue not accepted yet
+        Fetching,  //!< state fetch in DRAM
+        Ready,     //!< arc range known
+    };
+
+    /** State Issuer in-flight entry (one token's state). */
     struct StateFlight
     {
         std::uint32_t tokenOpIdx;
-        bool ready;
-        bool issued;            //!< DRAM request accepted
+        std::uint32_t arcOpBegin;
+        std::uint32_t arcOpCount;
+        sim::RequestId req;     //!< valid while Fetching
+        StatePhase phase;
+    };
+
+    /** An issued DRAM request and the cycle its data returns. */
+    struct Issued
+    {
         sim::RequestId req;
+        Cycles readyAt;
     };
 
     /** Arc FIFO entry. */
     struct ArcFlight
     {
         std::uint32_t arcOpIdx;
-        std::int32_t robSlot;   //!< -1 when the access hit
+        bool missed;            //!< its block arrives through the ROB
+        bool needsAcoustic;     //!< emitting arc: uses the acoustic issuer
     };
 
-    /** Outstanding arc memory request. */
+    /** Issued arc memory request, kept in issue order. */
     struct ArcRequest
     {
-        sim::RequestId req;
-        std::size_t robSlot;
+        Issued mem;
+        std::uint32_t robSlot;
     };
 
     /** Request FIFO entry awaiting a memory-controller slot. */
     struct PendingArcRequest
     {
         sim::Addr addr;
-        std::size_t robSlot;
+        std::uint32_t robSlot;
     };
 
-    /** Outstanding token-write fill. */
-    struct TokenFill
+    /** The @p k-th oldest State Issuer entry. */
+    StateFlight &
+    stateAt(unsigned k)
     {
-        sim::Addr addr;
-        bool issued;
-        sim::RequestId req;
-    };
+        const unsigned i = stateHead + k;
+        return stateWindow[i < stateWindow.size() ? i
+                                                  : i - stateWindow.size()];
+    }
 
     void tickTokenIssuer(const FrameTrace &trace);
-    void tickArcRelease(const FrameTrace &trace);
+    void tickArcRelease();
     void tickArcIssue(const FrameTrace &trace);
     void tickStateIssuer(const FrameTrace &trace);
-    bool frameDone(const FrameTrace &trace) const;
+    bool frameDone() const;
     void pollTokenFills();
 
     AcceleratorConfig cfg;
@@ -144,18 +166,32 @@ class TimingEngine
     /** Single in-flight arc at the Acoustic-likelihood Issuer. */
     Cycles acousticFreeAt = 0;
 
-    // Per-frame cursors and queues (reset in replayFrame).
+    // Per-frame cursors and queues (reset in replayFrame).  Every
+    // queue is a fixed ring sized by the structure it models; DRAM
+    // completions are polled at the head of an issue-order ring (see
+    // sim::Dram), so a cycle's bookkeeping does not grow with what is
+    // in flight.
     std::uint32_t tokenCursor = 0;
-    std::vector<StateFlight> stateWindow;   //!< in-order, bounded
+    std::uint32_t numTokenOps = 0;          //!< of the frame replayed
+    /** Ring of stateIssuerInflight entries, in intake order. */
+    std::vector<StateFlight> stateWindow;
+    unsigned stateHead = 0;         //!< ring index of the oldest
+    unsigned stateCount = 0;
+    unsigned stateWaiting = 0;      //!< window entries Waiting
+    unsigned stateReady = 0;        //!< window entries Ready
+    /** Earliest completion among Fetching entries. */
+    Cycles stateNextReady = kNever;
     sim::Fifo<std::pair<std::uint32_t, std::uint32_t>> arcWorkQ;
     std::uint32_t arcCursor = 0;            //!< offset in front range
     sim::Fifo<ArcFlight> arcFifo;
     sim::Fifo<PendingArcRequest> requestQ;
     sim::ReorderBuffer<std::uint32_t> rob;  //!< payload: arcOpIdx
-    std::vector<ArcRequest> arcOutstanding;
+    sim::Fifo<ArcRequest> arcOutstanding;
     sim::Fifo<std::uint32_t> evalQ;         //!< arcOpIdx stream
-    std::vector<TokenFill> tokenFills;
-    std::uint32_t evalRetired = 0;          //!< ops fully retired
+
+    // Token-write fills outlive frames; drain() waits for them.
+    sim::Fifo<Issued> tokenFills;           //!< issue order
+    sim::Fifo<sim::Addr> tokenFillsWaiting; //!< DRAM issue not accepted
 };
 
 } // namespace asr::accel

@@ -39,4 +39,16 @@
 #define ASR_PREFETCH(addr) ((void)0)
 #endif
 
+/**
+ * ASR_ALWAYS_INLINE — inline a function into every caller, whatever
+ * its size.  For the stages of a simulator's per-cycle loop: each
+ * runs once per simulated cycle from a single call site, and a call
+ * per stage would cost more than most cycles' work.
+ */
+#if defined(__GNUC__) || defined(__clang__)
+#define ASR_ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ASR_ALWAYS_INLINE inline
+#endif
+
 #endif // ASR_COMMON_COMPILER_HH

@@ -15,63 +15,8 @@ Cache::Cache(const CacheConfig &config)
                "capacity must be a multiple of way size");
     sets = static_cast<unsigned>(cfg.size / (cfg.lineBytes * cfg.assoc));
     ASR_ASSERT(isPowerOf2(sets), "number of sets must be a power of two");
+    lineShift = floorLog2(cfg.lineBytes);
     lines.resize(static_cast<std::size_t>(sets) * cfg.assoc);
-}
-
-CacheAccessResult
-Cache::access(Addr addr, bool write)
-{
-    CacheAccessResult result;
-    if (cfg.perfect) {
-        result.hit = true;
-        ++stats_.hits;
-        return result;
-    }
-
-    const Addr line = lineAddr(addr);
-    const unsigned set = setIndex(line);
-    Line *base = &lines[static_cast<std::size_t>(set) * cfg.assoc];
-    ++useClock;
-
-    // Lookup.
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Line &l = base[w];
-        if (l.valid && l.tag == line) {
-            l.lastUse = useClock;
-            l.dirty = l.dirty || write;
-            result.hit = true;
-            ++stats_.hits;
-            return result;
-        }
-    }
-
-    // Miss: pick the LRU victim (preferring invalid ways).
-    ++stats_.misses;
-    Line *victim = base;
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        Line &l = base[w];
-        if (!l.valid) {
-            victim = &l;
-            break;
-        }
-        if (l.lastUse < victim->lastUse)
-            victim = &l;
-    }
-
-    if (victim->valid) {
-        ++stats_.evictions;
-        if (victim->dirty) {
-            ++stats_.writebacks;
-            result.writeback = true;
-            result.writebackAddr = victim->tag * cfg.lineBytes;
-        }
-    }
-
-    victim->tag = line;
-    victim->valid = true;
-    victim->dirty = write;
-    victim->lastUse = useClock;
-    return result;
 }
 
 bool
@@ -80,10 +25,9 @@ Cache::probe(Addr addr) const
     if (cfg.perfect)
         return true;
     const Addr line = lineAddr(addr);
-    const unsigned set = setIndex(line);
-    const Line *base = &lines[static_cast<std::size_t>(set) * cfg.assoc];
-    for (unsigned w = 0; w < cfg.assoc; ++w)
-        if (base[w].valid && base[w].tag == line)
+    const Line *set = &lines[setBase(line)];
+    for (unsigned w = 0; w < cfg.assoc && set[w].valid; ++w)
+        if (set[w].tag == line)
             return true;
     return false;
 }

@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "common/aligned.hh"
+#include "common/compiler.hh"
 #include "common/units.hh"
 #include "sim/types.hh"
 
@@ -68,6 +70,12 @@ struct CacheStats
 /**
  * The tag array.  Write-back, write-allocate.  All sizes must be
  * powers of two.
+ *
+ * Each set keeps its valid lines in recency order, most recent first,
+ * with the invalid lines behind them.  A hit moves its line to the
+ * front and a fill pushes every line back by one, dropping the last,
+ * which is the LRU line (or an invalid one) -- true LRU with no use
+ * stamps, so it cannot wrap however long a run is.
  */
 class Cache
 {
@@ -85,6 +93,16 @@ class Cache
 
     /** Tag lookup without any state change. */
     bool probe(Addr addr) const;
+
+    /**
+     * Hint: pull the host memory of @p addr's set toward the core
+     * ahead of an access.  Changes no simulated state.
+     */
+    void
+    prefetch(Addr addr) const
+    {
+        ASR_PREFETCH(&lines[setBase(lineAddr(addr))]);
+    }
 
     /** Invalidate the whole cache (keeps statistics). */
     void invalidateAll();
@@ -104,24 +122,69 @@ class Cache
   private:
     struct Line
     {
-        Addr tag = 0;
+        Addr tag = 0;   //!< line address
         bool valid = false;
         bool dirty = false;
-        std::uint64_t lastUse = 0;
     };
 
-    Addr lineAddr(Addr addr) const { return addr / cfg.lineBytes; }
-    unsigned setIndex(Addr line) const
+    Addr lineAddr(Addr addr) const { return addr >> lineShift; }
+
+    /** Index of the first line of the set holding @p line. */
+    std::size_t
+    setBase(Addr line) const
     {
-        return static_cast<unsigned>(line & (sets - 1));
+        return static_cast<std::size_t>(line & (sets - 1)) * cfg.assoc;
     }
 
     CacheConfig cfg;
     unsigned sets;
-    std::vector<Line> lines;   // sets * assoc, set-major
-    std::uint64_t useClock = 0;
+    unsigned lineShift;        // log2(lineBytes)
+    CacheAlignedVector<Line> lines;  // sets * assoc, set-major
     CacheStats stats_;
 };
+
+inline CacheAccessResult
+Cache::access(Addr addr, bool write)
+{
+    CacheAccessResult result;
+    if (cfg.perfect) {
+        result.hit = true;
+        ++stats_.hits;
+        return result;
+    }
+
+    const Addr line = lineAddr(addr);
+    Line *set = &lines[setBase(line)];
+
+    for (unsigned w = 0; w < cfg.assoc && set[w].valid; ++w) {
+        if (set[w].tag == line) {
+            Line hit = set[w];
+            hit.dirty = hit.dirty || write;
+            for (; w > 0; --w)
+                set[w] = set[w - 1];
+            set[0] = hit;
+            ++stats_.hits;
+            result.hit = true;
+            return result;
+        }
+    }
+
+    // Miss: the last line is the LRU one (or invalid).
+    ++stats_.misses;
+    const Line &victim = set[cfg.assoc - 1];
+    if (victim.valid) {
+        ++stats_.evictions;
+        if (victim.dirty) {
+            ++stats_.writebacks;
+            result.writeback = true;
+            result.writebackAddr = victim.tag << lineShift;
+        }
+    }
+    for (unsigned w = cfg.assoc - 1; w > 0; --w)
+        set[w] = set[w - 1];
+    set[0] = Line{line, true, write};
+    return result;
+}
 
 } // namespace asr::sim
 

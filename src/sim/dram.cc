@@ -58,87 +58,10 @@ Dram::Dram(const DramConfig &config)
 {
     ASR_ASSERT(cfg.maxInflight > 0, "need at least one in-flight slot");
     ASR_ASSERT(cfg.issuePerCycle > 0, "issue width must be positive");
-}
-
-RequestId
-Dram::issue(Addr addr, DataClass cls, bool write, Cycles now)
-{
-    (void)addr;  // a fixed-latency model does not need the address
-
-    if (now != lastIssueCycle) {
-        lastIssueCycle = now;
-        issuedThisCycle = 0;
-    }
-    if (issuedThisCycle >= cfg.issuePerCycle ||
-        inflightCount >= cfg.maxInflight) {
-        ++stats_.rejectedIssues;
-        return kNoRequest;
-    }
-
-    // Find a free slot.
-    RequestId id = kNoRequest;
-    for (RequestId i = 0; i < slots.size(); ++i) {
-        if (!slots[i].busy) {
-            id = i;
-            break;
-        }
-    }
-    ASR_ASSERT(id != kNoRequest, "slot bookkeeping out of sync");
-
-    slots[id].busy = true;
-    slots[id].readyCycle = now + cfg.latency;
-    ++inflightCount;
-    ++issuedThisCycle;
-
-    const auto c = static_cast<unsigned>(cls);
-    ++stats_.requests[c];
-    if (write)
-        stats_.writeBytes[c] += cfg.lineBytes;
-    else
-        stats_.readBytes[c] += cfg.lineBytes;
-    return id;
-}
-
-bool
-Dram::ready(RequestId id, Cycles now) const
-{
-    ASR_ASSERT(id < slots.size() && slots[id].busy,
-               "query for invalid request id %u", id);
-    return now >= slots[id].readyCycle;
-}
-
-Cycles
-Dram::readyAt(RequestId id) const
-{
-    ASR_ASSERT(id < slots.size() && slots[id].busy,
-               "query for invalid request id %u", id);
-    return slots[id].readyCycle;
-}
-
-void
-Dram::retire(RequestId id)
-{
-    ASR_ASSERT(id < slots.size() && slots[id].busy,
-               "retire of invalid request id %u", id);
-    slots[id].busy = false;
-    ASR_ASSERT(inflightCount > 0, "in-flight underflow");
-    --inflightCount;
-}
-
-void
-Dram::countWrite(DataClass cls, Bytes bytes)
-{
-    const auto c = static_cast<unsigned>(cls);
-    stats_.writeBytes[c] += bytes;
-    ++stats_.requests[c];
-}
-
-void
-Dram::countRead(DataClass cls, Bytes bytes)
-{
-    const auto c = static_cast<unsigned>(cls);
-    stats_.readBytes[c] += bytes;
-    ++stats_.requests[c];
+    // Lowest id on top: an idle controller hands out 0, 1, 2, ...
+    freeIds.resize(cfg.maxInflight);
+    for (RequestId i = 0; i < cfg.maxInflight; ++i)
+        freeIds[i] = cfg.maxInflight - 1 - i;
 }
 
 } // namespace asr::sim

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/units.hh"
 #include "sim/types.hh"
 
@@ -56,6 +57,18 @@ struct DramStats
  * issue() returns kNoRequest when the controller is saturated (either
  * the in-flight window is full or this cycle's issue slots are used),
  * in which case the caller must retry on a later cycle.
+ *
+ * Completions come back in issue order.  Every request takes the same
+ * fixed latency, so as long as the cycles passed to issue() never
+ * decrease, readyAt() never decreases from one issued request to the
+ * next.  A client may therefore keep its outstanding requests in an
+ * issue-order FIFO and poll only the head: once the head is not
+ * ready, no younger request is.  The accelerator's timing engine
+ * relies on this.
+ *
+ * Request ids are slot numbers in [0, maxInflight); a retired id is
+ * handed out again by a later issue().  issue() takes a free slot in
+ * O(1).
  */
 class Dram
 {
@@ -81,10 +94,22 @@ class Dram
     unsigned inflight() const { return inflightCount; }
 
     /** Accounting-only write (used for fire-and-forget writebacks). */
-    void countWrite(DataClass cls, Bytes bytes);
+    void
+    countWrite(DataClass cls, Bytes bytes)
+    {
+        const auto c = static_cast<unsigned>(cls);
+        stats_.writeBytes[c] += bytes;
+        ++stats_.requests[c];
+    }
 
     /** Accounting-only read (used for DMA-style bulk transfers). */
-    void countRead(DataClass cls, Bytes bytes);
+    void
+    countRead(DataClass cls, Bytes bytes)
+    {
+        const auto c = static_cast<unsigned>(cls);
+        stats_.readBytes[c] += bytes;
+        ++stats_.requests[c];
+    }
 
     const DramConfig &config() const { return cfg; }
     const DramStats &stats() const { return stats_; }
@@ -99,11 +124,72 @@ class Dram
 
     DramConfig cfg;
     std::vector<Slot> slots;
+    /** Idle slot ids: a stack of maxInflight - inflightCount ids. */
+    std::vector<RequestId> freeIds;
     unsigned inflightCount = 0;
     Cycles lastIssueCycle = 0;
     unsigned issuedThisCycle = 0;
     DramStats stats_;
 };
+
+// The per-request calls run several times per simulated cycle, so
+// they are defined here where the timing engine can inline them.
+
+inline RequestId
+Dram::issue(Addr addr, DataClass cls, bool write, Cycles now)
+{
+    (void)addr;  // a fixed-latency model does not need the address
+
+    if (now != lastIssueCycle) {
+        lastIssueCycle = now;
+        issuedThisCycle = 0;
+    }
+    if (issuedThisCycle >= cfg.issuePerCycle ||
+        inflightCount >= cfg.maxInflight) {
+        ++stats_.rejectedIssues;
+        return kNoRequest;
+    }
+
+    const RequestId id = freeIds[cfg.maxInflight - 1 - inflightCount];
+    ASR_ASSERT(!slots[id].busy, "slot bookkeeping out of sync");
+    slots[id].busy = true;
+    slots[id].readyCycle = now + cfg.latency;
+    ++inflightCount;
+    ++issuedThisCycle;
+
+    const auto c = static_cast<unsigned>(cls);
+    ++stats_.requests[c];
+    if (write)
+        stats_.writeBytes[c] += cfg.lineBytes;
+    else
+        stats_.readBytes[c] += cfg.lineBytes;
+    return id;
+}
+
+inline bool
+Dram::ready(RequestId id, Cycles now) const
+{
+    return now >= readyAt(id);
+}
+
+inline Cycles
+Dram::readyAt(RequestId id) const
+{
+    ASR_ASSERT(id < slots.size() && slots[id].busy,
+               "query for invalid request id %u", id);
+    return slots[id].readyCycle;
+}
+
+inline void
+Dram::retire(RequestId id)
+{
+    ASR_ASSERT(id < slots.size() && slots[id].busy,
+               "retire of invalid request id %u", id);
+    ASR_ASSERT(inflightCount > 0, "in-flight underflow");
+    slots[id].busy = false;
+    --inflightCount;
+    freeIds[cfg.maxInflight - 1 - inflightCount] = id;
+}
 
 } // namespace asr::sim
 

@@ -46,7 +46,8 @@ class ReorderBuffer
         entries[slot].payload = std::move(payload);
         entries[slot].ready = false;
         entries[slot].live = true;
-        tail = (tail + 1) % entries.size();
+        if (++tail == entries.size())
+            tail = 0;
         ++count;
         return slot;
     }
@@ -82,7 +83,8 @@ class ReorderBuffer
         ASR_ASSERT(headReady(), "release of non-ready ROB head");
         T payload = std::move(entries[head].payload);
         entries[head].live = false;
-        head = (head + 1) % entries.size();
+        if (++head == entries.size())
+            head = 0;
         --count;
         return payload;
     }
