@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "common/fault.hh"
@@ -25,6 +26,19 @@ EngineOptions::validate() const
 }
 
 namespace {
+
+/**
+ * The audio rule of pushFor and submit, and of net::decodeSamples on
+ * the wire: NaN or +-Inf would flow through MFCC, the DNN and search
+ * and come out as a silent empty result.  Denormals, +-0 and
+ * +-FLT_MAX are ordinary audio.
+ */
+bool
+allFinite(std::span<const float> samples)
+{
+    return std::all_of(samples.begin(), samples.end(),
+                       [](float v) { return std::isfinite(v); });
+}
 
 /**
  * Audio chunk size the coordinator feeds a one-shot job's session per
@@ -177,6 +191,13 @@ Engine::~Engine()
 std::future<pipeline::RecognitionResult>
 Engine::submit(frontend::AudioSignal audio)
 {
+    if (!allFinite(audio.samples)) {
+        // Refused before anything is queued or counted.
+        std::promise<pipeline::RecognitionResult> refused;
+        refused.set_exception(std::make_exception_ptr(std::invalid_argument(
+            "one-shot audio holds a NaN or infinite sample")));
+        return refused.get_future();
+    }
     std::future<pipeline::RecognitionResult> future;
     {
         std::lock_guard<std::mutex> lock(mu);
@@ -290,11 +311,8 @@ PushResult
 Engine::pushFor(StreamHandle h, std::span<const float> samples,
                 std::chrono::nanoseconds timeout)
 {
-    // NaN or +-Inf audio would flow through MFCC, the DNN and search
-    // and come out as a silent empty result: reject the chunk before
-    // it is queued, as net::decodeSamples does on the wire.
-    if (!std::all_of(samples.begin(), samples.end(),
-                     [](float v) { return std::isfinite(v); }))
+    // Reject a non-finite chunk before it is queued.
+    if (!allFinite(samples))
         return PushResult::Rejected;
     const std::shared_ptr<LiveStream> ls = findStream(h);
     if (!ls)

@@ -139,11 +139,19 @@ class Engine : public StreamEndpoint
      * Enqueue one complete utterance for the coordinator.  @return
      * future of the final result (its sessionId field records the
      * assigned id).
+     *
+     * Audio holding a NaN or +-Inf sample is refused under pushFor()'s
+     * rule: nothing is queued, no session id is taken, no job is
+     * counted, and the returned future holds a std::invalid_argument.
+     * Denormals, +-0 and +-FLT_MAX are ordinary audio.
      */
     std::future<pipeline::RecognitionResult>
     submit(frontend::AudioSignal audio);
 
-    /** Synchronous submit: decode @p audio, wait for the result. */
+    /**
+     * Synchronous submit: decode @p audio, wait for the result.
+     * @throws std::invalid_argument for audio submit() refuses
+     */
     pipeline::RecognitionResult
     recognize(const frontend::AudioSignal &audio);
 

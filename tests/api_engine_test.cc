@@ -33,14 +33,17 @@
  *    and the stream decodes on as if it had never been pushed.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cfloat>
 #include <chrono>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1369,6 +1372,49 @@ TEST_F(ApiEngineTest, FrameClockWaitEndsOnSubmit)
 // ---------------------------------------------------------------------------
 // Hostile audio.
 // ---------------------------------------------------------------------------
+
+TEST_F(ApiEngineTest, NonFiniteOneShotAudioIsRefusedBeforeQueueing)
+{
+    // submit/recognize apply pushFor's rule to the whole utterance:
+    // the future holds std::invalid_argument, no session id is taken
+    // and no job is counted, and the next finite job decodes to the
+    // reference bits as session 0.
+    const frontend::AudioSignal audio = testAudio(153, 10);
+    const auto want = referenceDecode(audio);
+    ASSERT_FALSE(want.words.empty());
+    EngineOptions opts;
+    opts.numThreads = 2;
+    Engine engine(*model, opts);
+
+    for (const float hostile : {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity()}) {
+        frontend::AudioSignal bad = audio;
+        bad.samples[100] = hostile;
+        auto future = engine.submit(bad);
+        ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+        EXPECT_THROW(future.get(), std::invalid_argument);
+        EXPECT_THROW(engine.recognize(bad), std::invalid_argument);
+    }
+    EXPECT_EQ(engine.submittedCount(), 0u);
+    EXPECT_EQ(engine.stats().utterances, 0u);
+
+    const auto got = engine.recognize(audio);
+    EXPECT_EQ(got.sessionId, 0u);
+    EXPECT_EQ(got.words, want.words);
+    EXPECT_EQ(got.score, want.score);
+
+    // The rule is net::decodeSamples's: denormals, +-0 and +-FLT_MAX
+    // are ordinary audio.
+    frontend::AudioSignal edge = audio;
+    const float extremes[] = {std::numeric_limits<float>::denorm_min(),
+                              -0.0f, 0.0f, FLT_MAX, -FLT_MAX};
+    std::copy(std::begin(extremes), std::end(extremes),
+              edge.samples.begin() + 100);
+    EXPECT_NO_THROW(engine.recognize(edge));
+    EXPECT_EQ(engine.submittedCount(), 2u);
+}
 
 TEST_F(ApiEngineTest, NonFinitePushIsRejectedAndTheStreamDecodesOn)
 {

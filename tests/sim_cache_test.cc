@@ -129,6 +129,28 @@ TEST(Cache, ProbeDoesNotDisturbLru)
     EXPECT_TRUE(c.probe(64));
 }
 
+TEST(Cache, DirtyLineKeepsItsStateWhileReordered)
+{
+    // 1 set x 4 ways.  The sets keep lines in recency order, so a hit
+    // moves a line; its dirty bit must move with it and surface as a
+    // writeback of the right address once it becomes LRU.
+    Cache c(CacheConfig{"t", 256, 4, 64, false});
+    c.access(0 * 64, true);  // dirty
+    c.access(1 * 64, false);
+    c.access(2 * 64, false);
+    c.access(3 * 64, false);
+    EXPECT_TRUE(c.access(0 * 64, false).hit);  // line 0 to the front
+    c.access(4 * 64, false);                   // evicts clean line 1
+    c.access(5 * 64, false);                   // evicts clean line 2
+    const auto r3 = c.access(6 * 64, false);   // evicts clean line 3
+    EXPECT_FALSE(r3.writeback);
+    const auto r0 = c.access(7 * 64, false);   // evicts dirty line 0
+    EXPECT_TRUE(r0.writeback);
+    EXPECT_EQ(r0.writebackAddr, 0u);
+    EXPECT_EQ(c.stats().evictions, 4u);
+    EXPECT_EQ(c.stats().writebacks, 1u);
+}
+
 /** Property: production model == reference model on random streams. */
 struct CacheShape
 {
@@ -167,7 +189,7 @@ TEST_P(CacheVsReference, IdenticalHitMissSequence)
 constexpr CacheShape kCacheShapes[] = {
     {1024, 1, 1},    {1024, 2, 2},    {4096, 4, 3},
     {8192, 2, 4},    {64_KiB, 4, 5},  {64_KiB, 8, 6},
-    {512_KiB, 4, 7}, {1_MiB, 4, 8},
+    {512_KiB, 4, 7}, {1_MiB, 4, 8},   {64_KiB, 16, 9},
 };
 
 INSTANTIATE_TEST_SUITE_P(Shapes, CacheVsReference,

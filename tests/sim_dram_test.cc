@@ -89,6 +89,66 @@ TEST(Dram, SlotReuseAfterRetire)
     EXPECT_EQ(d.inflight(), 0u);
 }
 
+TEST(Dram, SlotIdsReusedUnderAFullWindow)
+{
+    // With every slot busy, the id a retire frees is the one the next
+    // issue gets back, however many times the window turns over.
+    Dram d(DramConfig{50, 8, 1, 64});
+    std::vector<RequestId> ids;
+    Cycles now = 1;
+    for (unsigned i = 0; i < 8; ++i, ++now)
+        ids.push_back(d.issue(i * 64, DataClass::Arc, false, now));
+    for (const RequestId id : ids)
+        ASSERT_LT(id, 8u);
+    EXPECT_EQ(d.issue(999, DataClass::Arc, false, now++), kNoRequest);
+    for (unsigned round = 0; round < 100; ++round, ++now) {
+        const RequestId freed = ids[round % 8];
+        d.retire(freed);
+        const RequestId again =
+            d.issue(round * 64, DataClass::Arc, false, now);
+        ASSERT_EQ(again, freed) << "round " << round;
+        EXPECT_EQ(d.inflight(), 8u);
+    }
+    for (const RequestId id : ids)
+        d.retire(id);
+    EXPECT_EQ(d.inflight(), 0u);
+}
+
+TEST(Dram, CompletionsComeBackInIssueOrder)
+{
+    // Fixed latency and non-decreasing issue cycles: readyAt() never
+    // decreases along issue order, whatever the ids and even when
+    // slots are recycled out of order, so an issue-order FIFO may
+    // poll only its head.
+    Dram d(DramConfig{50, 4, 2, 64});
+    std::vector<RequestId> fifo;  // outstanding, in issue order
+    Cycles now = 0, last_ready = 0;
+    std::uint64_t issued = 0;
+    for (; now < 1000; ++now) {
+        // Retire from the head only; nothing behind a waiting head is
+        // ready either.
+        while (!fifo.empty() && d.ready(fifo.front(), now)) {
+            d.retire(fifo.front());
+            fifo.erase(fifo.begin());
+        }
+        for (std::size_t i = 0; i < fifo.size(); ++i)
+            ASSERT_FALSE(d.ready(fifo[i], now)) << "cycle " << now;
+        // Try two issues per cycle, as issuePerCycle allows.
+        for (int k = 0; k < 2; ++k) {
+            const RequestId id =
+                d.issue(issued * 64, DataClass::Token, false, now);
+            if (id == kNoRequest)
+                break;
+            ASSERT_GE(d.readyAt(id), last_ready);
+            last_ready = d.readyAt(id);
+            fifo.push_back(id);
+            ++issued;
+        }
+    }
+    EXPECT_GT(issued, 50u);
+    EXPECT_GT(d.stats().rejectedIssues, 0u);
+}
+
 TEST(Dram, DataClassNames)
 {
     EXPECT_STREQ(dataClassName(DataClass::State), "states");

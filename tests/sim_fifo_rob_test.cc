@@ -4,6 +4,8 @@
  * the prefetching architecture.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "sim/fifo.hh"
@@ -38,6 +40,56 @@ TEST(Fifo, ClearEmpties)
     EXPECT_TRUE(f.empty());
     f.push(7);
     EXPECT_EQ(f.front(), 7);
+}
+
+TEST(Fifo, RingWrapsManyTimes)
+{
+    // The timing engine's 64-entry Arc FIFO runs for millions of
+    // cycles: push and pop across the ring's end many times over,
+    // at many fill levels.
+    Fifo<int> f(64);
+    int next_in = 0, next_out = 0;
+    for (int round = 0; round < 200; ++round) {
+        const int pushes = std::min<int>(1 + (round * 13) % 64,
+                                         int(f.freeSlots()));
+        for (int i = 0; i < pushes; ++i)
+            f.push(next_in++);
+        ASSERT_EQ(f.size(), std::size_t(next_in - next_out));
+        EXPECT_EQ(f.full(), f.size() == 64);
+        EXPECT_EQ(f.freeSlots(), 64 - f.size());
+        const int pops = std::min<int>(1 + (round * 7) % 64,
+                                       int(f.size()));
+        for (int i = 0; i < pops; ++i) {
+            ASSERT_EQ(f.front(), next_out);
+            ASSERT_EQ(f.pop(), next_out++);
+        }
+    }
+    EXPECT_GT(next_in, 64 * 50);
+    while (!f.empty())
+        ASSERT_EQ(f.pop(), next_out++);
+    EXPECT_EQ(next_out, next_in);
+}
+
+TEST(Fifo, ClearMidWrapLeavesItEmptyAndReusable)
+{
+    Fifo<int> f(64);
+    for (int i = 0; i < 50; ++i)
+        f.push(i);
+    for (int i = 0; i < 40; ++i)
+        f.pop();
+    for (int i = 50; i < 90; ++i)
+        f.push(i);  // wraps past the ring's end
+    ASSERT_EQ(f.size(), 50u);
+    f.clear();
+    EXPECT_TRUE(f.empty());
+    EXPECT_EQ(f.size(), 0u);
+    EXPECT_EQ(f.freeSlots(), 64u);
+    for (int i = 0; i < 64; ++i)
+        f.push(1000 + i);
+    EXPECT_TRUE(f.full());
+    for (int i = 0; i < 64; ++i)
+        ASSERT_EQ(f.pop(), 1000 + i);
+    EXPECT_TRUE(f.empty());
 }
 
 TEST(FifoDeath, PushToFullPanics)
