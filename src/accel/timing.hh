@@ -136,8 +136,9 @@ class TimingEngine
     stateAt(unsigned k)
     {
         const unsigned i = stateHead + k;
-        return stateWindow[i < stateWindow.size() ? i
-                                                  : i - stateWindow.size()];
+        return stateWindow[i < cfg.stateIssuerInflight
+                               ? i
+                               : i - cfg.stateIssuerInflight];
     }
 
     void tickTokenIssuer(const FrameTrace &trace);
