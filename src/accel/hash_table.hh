@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/aligned.hh"
 #include "common/compiler.hh"
 #include "common/logging.hh"
 #include "wfst/types.hh"
@@ -189,7 +188,7 @@ class TokenHash
      * off-chip overflow buffer, which grows on demand and shrinks
      * back on clear().  A link is a slot index plus one.
      */
-    CacheAlignedVector<Slot> slots;
+    std::vector<Slot> slots;
     std::uint32_t numPrimary;
     std::uint32_t onChip;          //!< primary + backup slots
     std::uint32_t backupUsed = 0;

@@ -20,6 +20,15 @@
  * order.  Without prefetching the identical machinery runs with the
  * baseline's 8-entry window, which is what Table I's "8 in-flight
  * arcs" provides.
+ *
+ * Host cost.  Almost every simulated cycle has a stage acting or a
+ * stall to count, so the model does not skip cycles; instead a cycle
+ * costs bounded work whatever is in flight.  Every queue is a fixed
+ * ring.  Because sim::Dram completes requests in issue order, token
+ * fills and arc requests wait in issue-order rings polled only at
+ * their heads, and the State Issuer walks its window only when a
+ * fetch can have returned or a fetch waits for a DRAM slot.  The Arc
+ * Issuer probes the arc cache only when a miss could not be tracked.
  */
 
 #ifndef ASR_ACCEL_TIMING_HH
