@@ -100,8 +100,8 @@ Expander::prefetchAhead(std::size_t t, wfst::LogProb threshold) const
     // Three stages, each a few live-list entries ahead of the read:
     // the token's hash entry, then its arc range (the entry has
     // arrived by then), then the hash buckets its arcs will upsert
-    // (the arcs have arrived).  Tokens that the
-    // beam will cut are skipped.  Hints only: results never change.
+    // (the arcs have arrived).  Tokens the beam will cut are skipped.
+    // Hints only: results never change.
     const std::size_t live = cur->size();
     if (t + 8 < live)
         cur->prefetchToken(t + 8);
@@ -109,9 +109,12 @@ Expander::prefetchAhead(std::size_t t, wfst::LogProb threshold) const
         const TokenSlot ahead = cur->token(t + 4);
         if (ahead.score >= threshold) {
             const ArcSpan span = arcSpan(ahead.state);
-            ASR_PREFETCH(&net.arc(span.first));
-            if (span.count > 1)
+            if (span.count > 0) {
+                // First and last arc: a short range spans one or two
+                // host cache lines.
+                ASR_PREFETCH(&net.arc(span.first));
                 ASR_PREFETCH(&net.arc(span.first + span.count - 1));
+            }
         }
     }
     if (t + 2 < live) {

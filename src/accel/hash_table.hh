@@ -45,7 +45,7 @@ struct HashStats
     }
 };
 
-/** One token slot (primary, backup or overflow). */
+/** A token as the hash reports it (from any slot kind). */
 struct TokenSlot
 {
     wfst::StateId state = wfst::kNoState;
