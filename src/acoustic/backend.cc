@@ -8,17 +8,23 @@
 #include "common/cpuinfo.hh"
 #include "common/logging.hh"
 
-// The AVX2 kernels are compiled with per-function target attributes
-// (no global -mavx2), so the same binary carries both code paths and
-// cpu::hasAvx2() picks one at backend construction.  Non-x86 builds
-// compile only the scalar paths; "blocked" and "int8" simply always
-// run scalar there.
+// The AVX2 and AVX-512 kernels are compiled with per-function target
+// attributes (no global -mavx2 or -mavx512f), so the same binary
+// carries every code path and cpu::hasAvx512() / cpu::hasAvx2() pick
+// one at backend construction.  Non-x86 builds compile only the
+// scalar paths; "blocked" and "int8" simply always run scalar there.
+//
+// The acoustic library is compiled with -ffp-contract=off (see its
+// CMakeLists.txt): the "avx512f" target implies FMA, and GCC would
+// otherwise fuse the AVX-512 kernel's separate multiply and add into
+// vfmadd231ps, whose single rounding breaks the bit-identity
+// contract.
 #if (defined(__GNUC__) || defined(__clang__)) && \
     (defined(__x86_64__) || defined(__i386__))
-#define ASR_HAVE_AVX2_KERNELS 1
+#define ASR_HAVE_X86_KERNELS 1
 #include <immintrin.h>
 #else
-#define ASR_HAVE_AVX2_KERNELS 0
+#define ASR_HAVE_X86_KERNELS 0
 #endif
 
 namespace asr::acoustic {
@@ -181,14 +187,21 @@ gemmPanel(const float *ASR_RESTRICT xd, std::size_t in,
     }
 }
 
-/** Signature shared by gemmPanel and the row-blocked AVX2 kernels. */
+/** Signature shared by gemmPanel and the row-blocked SIMD kernels. */
 using PanelKernel = void (*)(const float *ASR_RESTRICT, std::size_t,
                              const float *ASR_RESTRICT,
                              const float *ASR_RESTRICT, std::size_t,
                              std::size_t, float *ASR_RESTRICT,
                              std::size_t, std::size_t, std::size_t);
 
-#if ASR_HAVE_AVX2_KERNELS
+/** A panel kernel and the word Backend::isa() reports for it. */
+struct PanelDispatch
+{
+    PanelKernel run;
+    std::string_view isa;
+};
+
+#if ASR_HAVE_X86_KERNELS
 
 /**
  * Input rows one register-blocked AVX2 pass scores: 3 rows x 4
@@ -199,6 +212,14 @@ using PanelKernel = void (*)(const float *ASR_RESTRICT, std::size_t,
 constexpr std::size_t kRegRows = 3;
 
 /**
+ * Input rows one register-blocked AVX-512 pass scores: 8 rows x 2
+ * sixteen-lane accumulators take 16 of the 32 zmm registers, beside
+ * the two weight vectors and the broadcasts (10- and 12-row passes
+ * measured no faster).
+ */
+constexpr std::size_t kRegRows512 = 8;
+
+/**
  * acc[r][t] = sum_k x[r][k] * panel[k][t] for Rows input rows spaced
  * @p in floats apart, over one packed kTile panel.  Each 8-lane slice
  * of panel row k is loaded once and reused for every row; every lane
@@ -206,11 +227,8 @@ constexpr std::size_t kRegRows = 3;
  * and a separate rounded add, which is exactly gemmPanel's (and the
  * reference's) arithmetic.
  *
- * Compiled for "avx2" alone, never "avx2,fma": with FMA in the target
- * GCC contracts _mm256_add_ps(a, _mm256_mul_ps(x, w)) into one
- * vfmadd231ps, which drops the product's rounding and with it the
- * bit-identity contract.  The bitwise backend tests on an AVX2 host
- * are the guard.
+ * Compiled for "avx2" alone, never "avx2,fma", so no FMA instruction
+ * exists for the compiler to contract the multiply and add into.
  */
 template <std::size_t Rows>
 __attribute__((target("avx2"))) void
@@ -237,52 +255,120 @@ dotRowsAvx2(const float *ASR_RESTRICT x, std::size_t in,
 }
 
 /**
- * gemmPanel's contract over the row-blocked AVX2 kernel: rows
- * [r0, r1) go kRegRows at a time through dotRowsAvx2<kRegRows>, the
- * leftover rows (and scoreFrame's single row) one at a time through
- * dotRowsAvx2<1>, and the bias is added after each full sum.  Every
- * row's outputs depend only on that row, so a frame scores the same
- * in any batch.
+ * dotRowsAvx2's contract on AVX-512F: each 32-lane panel row k is
+ * loaded once as two 16-lane vectors and reused for every row, with
+ * a rounded multiply and a separate rounded add per lane in
+ * ascending-k order -- again exactly the reference's arithmetic.
+ * The "avx512f" target implies FMA, so only the library's
+ * -ffp-contract=off keeps the two instructions apart.
  */
+template <std::size_t Rows>
+__attribute__((target("avx512f"))) void
+dotRowsAvx512(const float *ASR_RESTRICT x, std::size_t in,
+              const float *ASR_RESTRICT panel, float *ASR_RESTRICT acc)
+{
+    static_assert(kTile == 32, "kernel hard-codes two 16-lane vectors");
+    __m512 sum[Rows][2] = {};
+    for (std::size_t k = 0; k < in; ++k) {
+        const float *ASR_RESTRICT p = panel + k * kTile;
+        const __m512 w[2] = {_mm512_loadu_ps(p), _mm512_loadu_ps(p + 16)};
+        for (std::size_t r = 0; r < Rows; ++r) {
+            const __m512 xv = _mm512_set1_ps(x[r * in + k]);
+            for (std::size_t v = 0; v < 2; ++v)
+                sum[r][v] =
+                    _mm512_add_ps(sum[r][v], _mm512_mul_ps(xv, w[v]));
+        }
+    }
+    for (std::size_t r = 0; r < Rows; ++r)
+        for (std::size_t v = 0; v < 2; ++v)
+            _mm512_storeu_ps(acc + r * kTile + 16 * v, sum[r][v]);
+}
+
+/** Sums @p n rows (at most one pass's worth) into acc[0 .. n). */
+using DotRows = void (*)(std::size_t n, const float *ASR_RESTRICT x,
+                         std::size_t in,
+                         const float *ASR_RESTRICT panel,
+                         float *ASR_RESTRICT acc);
+
+/**
+ * The AVX2 pass: three rows at once, or each of fewer rows alone.
+ */
+void
+dotPassAvx2(std::size_t n, const float *ASR_RESTRICT x, std::size_t in,
+            const float *ASR_RESTRICT panel, float *ASR_RESTRICT acc)
+{
+    if (n == kRegRows) {
+        dotRowsAvx2<kRegRows>(x, in, panel, acc);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        dotRowsAvx2<1>(x + i * in, in, panel, acc + i * kTile);
+}
+
+/**
+ * The AVX-512 pass: all @p n <= Rows rows in one pass of
+ * dotRowsAvx512<n>, so a leftover of up to seven rows still streams
+ * the panel once.
+ */
+template <std::size_t Rows = kRegRows512>
+void
+dotPassAvx512(std::size_t n, const float *ASR_RESTRICT x,
+              std::size_t in, const float *ASR_RESTRICT panel,
+              float *ASR_RESTRICT acc)
+{
+    if constexpr (Rows > 1) {
+        if (n < Rows) {
+            dotPassAvx512<Rows - 1>(n, x, in, panel, acc);
+            return;
+        }
+    }
+    dotRowsAvx512<Rows>(x, in, panel, acc);
+}
+
+/**
+ * gemmPanel's contract over a register-blocked kernel: rows [r0, r1)
+ * go Block at a time, and the leftover rows (and scoreFrame's single
+ * row) as one shorter pass, through Pass; the bias is added after
+ * each full sum.  Every row's outputs depend only on that row, so a
+ * frame scores the same in any batch.
+ */
+template <std::size_t Block, DotRows Pass>
 void
 panelRows(const float *ASR_RESTRICT xd, std::size_t in,
           const float *ASR_RESTRICT panel, const float *ASR_RESTRICT bias,
           std::size_t j0, std::size_t jn, float *ASR_RESTRICT yd,
           std::size_t out, std::size_t r0, std::size_t r1)
 {
-    float acc[kRegRows * kTile] = {};
-    const auto store = [&](std::size_t r, std::size_t rows) {
-        for (std::size_t i = 0; i < rows; ++i) {
+    float acc[Block * kTile] = {};
+    for (std::size_t r = r0; r < r1;) {
+        const std::size_t n = std::min(Block, r1 - r);
+        Pass(n, xd + r * in, in, panel, acc);
+        for (std::size_t i = 0; i < n; ++i) {
             float *ASR_RESTRICT yrow = yd + (r + i) * out;
             for (std::size_t t = 0; t < jn; ++t)
                 yrow[j0 + t] = acc[i * kTile + t] + bias[j0 + t];
         }
-    };
-    std::size_t r = r0;
-    for (; r + kRegRows <= r1; r += kRegRows) {
-        dotRowsAvx2<kRegRows>(xd + r * in, in, panel, acc);
-        store(r, kRegRows);
-    }
-    for (; r < r1; ++r) {
-        dotRowsAvx2<1>(xd + r * in, in, panel, acc);
-        store(r, 1);
+        r += n;
     }
 }
 
-#endif // ASR_HAVE_AVX2_KERNELS
+#endif // ASR_HAVE_X86_KERNELS
 
 /**
- * The panel kernel cpu::hasAvx2() resolves to right now: the
- * row-blocked AVX2 loop, else the scalar gemmPanel.
+ * The panel kernel the dispatch predicates resolve to right now: the
+ * eight-row AVX-512 loop, else the three-row AVX2 loop, else the
+ * scalar gemmPanel.
  */
-PanelKernel
+PanelDispatch
 pickPanelKernel()
 {
-#if ASR_HAVE_AVX2_KERNELS
+#if ASR_HAVE_X86_KERNELS
+    if (cpu::hasAvx512())
+        return {&panelRows<kRegRows512, &dotPassAvx512<>>, "avx512"};
     if (cpu::hasAvx2())
-        return &panelRows;
+        return {&panelRows<kRegRows, &dotPassAvx2>, "avx2"};
 #endif
-    return &gemmPanel;
+    return {&gemmPanel, "scalar"};
 }
 
 /** Full packed-layer GEMM with row blocking for cache reuse. */
@@ -307,9 +393,10 @@ gemmPacked(const Matrix &x, const PackedLayer &layer, Matrix &y,
 }
 
 /**
- * The default float backend: the row-blocked AVX2 kernel when
- * cpu::hasAvx2() at construction, else scalar gemmPanel.
- * Bit-identical to reference either way.
+ * The default float backend: the row-blocked AVX-512 kernel when
+ * cpu::hasAvx512() at construction, else the AVX2 one when
+ * cpu::hasAvx2(), else scalar gemmPanel.  Bit-identical to reference
+ * on each.
  */
 class BlockedBackend final : public Backend
 {
@@ -327,11 +414,7 @@ class BlockedBackend final : public Backend
     BackendKind kind() const override { return BackendKind::Blocked; }
     bool bitIdenticalToReference() const override { return true; }
 
-    std::string_view
-    isa() const override
-    {
-        return kernel != &gemmPanel ? "avx2" : "scalar";
-    }
+    std::string_view isa() const override { return kernel.isa; }
 
     Matrix
     scoreBatch(const Matrix &input) const override
@@ -346,7 +429,7 @@ class BlockedBackend final : public Backend
         Matrix cur;
         for (std::size_t l = 0; l < layers.size(); ++l) {
             Matrix y(x->rows(), layers[l].out);
-            gemmPacked(*x, layers[l], y, kernel);
+            gemmPacked(*x, layers[l], y, kernel.run);
             if (l + 1 < layers.size())
                 reluInPlace(y);
             cur = std::move(y);
@@ -383,9 +466,9 @@ class BlockedBackend final : public Backend
                 const float *panel =
                     layer.packed.data() + tile * layer.in * kTile;
                 const std::size_t j0 = tile * kTile;
-                kernel(x, layer.in, panel, layer.bias.data(), j0,
-                       std::min(kTile, layer.out - j0), y, layer.out,
-                       0, 1);
+                kernel.run(x, layer.in, panel, layer.bias.data(), j0,
+                           std::min(kTile, layer.out - j0), y,
+                           layer.out, 0, 1);
             }
             if (!last)
                 for (std::size_t j = 0; j < layer.out; ++j)
@@ -405,7 +488,7 @@ class BlockedBackend final : public Backend
 
   private:
     std::vector<PackedLayer> layers;
-    PanelKernel kernel;
+    PanelDispatch kernel;
     std::uint64_t macs;
     std::uint64_t weightBytes;
 };
@@ -493,7 +576,7 @@ using Int8PanelKernel = void (*)(const std::int8_t *ASR_RESTRICT,
                                  const std::int8_t *ASR_RESTRICT,
                                  std::int32_t *ASR_RESTRICT);
 
-#if ASR_HAVE_AVX2_KERNELS
+#if ASR_HAVE_X86_KERNELS
 
 /**
  * AVX2 int8 tile accumulation over one group-packed panel.  Per
@@ -559,7 +642,7 @@ int8PanelAvx2(const std::int8_t *ASR_RESTRICT qx, std::size_t groups,
     _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + 24), acc3);
 }
 
-#endif // ASR_HAVE_AVX2_KERNELS
+#endif // ASR_HAVE_X86_KERNELS
 
 /**
  * The int8 tile kernel cpu::hasAvx2() resolves to right now: the
@@ -568,7 +651,7 @@ int8PanelAvx2(const std::int8_t *ASR_RESTRICT qx, std::size_t groups,
 Int8PanelKernel
 pickInt8Kernel()
 {
-#if ASR_HAVE_AVX2_KERNELS
+#if ASR_HAVE_X86_KERNELS
     if (cpu::hasAvx2())
         return &int8PanelAvx2;
 #endif

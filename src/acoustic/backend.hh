@@ -18,11 +18,13 @@
  *    the correctness oracle every other backend is measured against.
  *  - Blocked:   the same arithmetic over weights repacked at
  *    construction into SIMD-friendly column tiles, row-blocked for
- *    cache reuse.  On an AVX2 host a register-blocked kernel loads
- *    each 8-lane weight slice once per k and reuses it across three
- *    input rows, with a separate multiply and add per step; elsewhere
- *    a compiler-vectorized scalar loop.  Bit-identical to Reference
- *    on both kernels (see below) and the default in
+ *    cache reuse.  On an AVX-512F host a register-blocked kernel
+ *    loads each 32-lane tile row once per k as two 16-lane vectors
+ *    and reuses it across eight input rows; on an AVX2-only host an
+ *    AVX2 kernel reuses each 8-lane slice across three rows.  Both
+ *    keep a separate multiply and add per step; elsewhere a
+ *    compiler-vectorized scalar loop runs.  Bit-identical to
+ *    Reference on all three kernels (see below) and the default in
  *    pipeline::AsrModel.
  *  - Int8:      per-output-channel symmetric weight quantization
  *    with dynamic per-frame activation quantization; 4x smaller
@@ -69,7 +71,7 @@ namespace asr::acoustic {
 enum class BackendKind
 {
     Reference,  //!< naive float GEMM (the training-time path)
-    Blocked,    //!< packed-tile float GEMM, exact AVX2 or scalar kernel
+    Blocked,    //!< packed-tile float GEMM, exact AVX-512/AVX2/scalar
     Int8,       //!< int8 weight-quantized GEMM, AVX2 or scalar kernel
 };
 
@@ -110,9 +112,10 @@ class Backend
     virtual bool bitIdenticalToReference() const = 0;
 
     /**
-     * Instruction set the hot kernel actually dispatches to:
-     * "scalar", or "avx2" when blocked or int8 resolved
-     * cpu::hasAvx2() at construction.  Diagnostics and bench JSON;
+     * Instruction set the hot kernel actually dispatches to, as
+     * resolved at construction: "avx512" (blocked, when
+     * cpu::hasAvx512()), "avx2" (blocked or int8, when
+     * cpu::hasAvx2()), else "scalar".  Diagnostics and bench JSON;
      * never affects results.
      */
     virtual std::string_view isa() const { return "scalar"; }

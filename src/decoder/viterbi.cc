@@ -121,7 +121,7 @@ struct CompactArcView
 
 ViterbiDecoder::ViterbiDecoder(const wfst::Wfst &wfst,
                                const DecoderConfig &config)
-    : net(wfst), cfg(config), visits(wfst.numStates(), 0)
+    : net(wfst), cfg(config)
 {
     ASR_ASSERT(cfg.beam > 0.0f, "beam must be positive");
     if (cfg.useCompactArcs)
@@ -241,7 +241,6 @@ ViterbiDecoder::streamFrameImpl(std::span<const float> frame,
             continue;
         }
         ++streamStats.tokensExpanded;
-        ++visits[tok.state];
 
         const ArcGroup group = view.group(tok.state);
         streamStats.graphBytesTouched += group.bytes;
@@ -442,12 +441,6 @@ ViterbiDecoder::maybeCollectArena()
     arenaLiveAfterGc = out;
     partialCacheBp = kPartialCacheInvalid;  // indices moved
     ++streamStats.arenaGcRuns;
-}
-
-void
-ViterbiDecoder::clearVisitCounts()
-{
-    std::fill(visits.begin(), visits.end(), 0);
 }
 
 } // namespace asr::decoder

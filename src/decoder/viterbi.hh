@@ -86,19 +86,6 @@ class ViterbiDecoder
     /** Close the utterance: epsilon-close, pick best, backtrack. */
     DecodeResult streamFinish();
 
-    /**
-     * Number of times each state was expanded (passed the beam)
-     * across all decodes so far; drives the Figure-7 dynamic CDF.
-     */
-    const std::vector<std::uint64_t> &
-    stateVisitCounts() const
-    {
-        return visits;
-    }
-
-    /** Reset the visit counters. */
-    void clearVisitCounts();
-
     /** Active (post-insertion) token count of each decoded frame. */
     const std::vector<std::uint32_t> &
     activeTokensPerFrame() const
@@ -167,7 +154,6 @@ class ViterbiDecoder
     std::size_t arenaLiveAfterGc = 0;
     std::vector<std::uint8_t> gcMark;       //!< reused mark bitmap
     std::vector<std::int64_t> gcRemap;      //!< reused old->new map
-    std::vector<std::uint64_t> visits;
     std::vector<std::uint32_t> activeHistory;
     std::vector<wfst::ArcEntry> arcScratch;  //!< compact decode buffer
     mutable std::vector<wfst::LogProb> cutoffScratch;

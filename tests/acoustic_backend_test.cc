@@ -8,14 +8,15 @@
  * of the float paths.
  *
  * The dispatch has its own contracts: blocked is bit-identical to
- * the reference on its AVX2 and scalar kernels alike, and int8's
- * AVX2 kernel is bit-identical to its scalar kernel (integer addition
- * is associative).  Both kernels of each backend are exercised in one
- * process via the test override.
+ * the reference on its AVX-512, AVX2 and scalar kernels alike, and
+ * int8's AVX2 kernel is bit-identical to its scalar kernel (integer
+ * addition is associative).  Every kernel the CPU offers is
+ * exercised in one process via the test cap.
  */
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -64,14 +65,28 @@ expectBitIdentical(const Matrix &a, const Matrix &b)
                 << "mismatch at (" << r << ", " << c << ")";
 }
 
-} // namespace
-
-TEST(BackendEquivalence, BlockedMatchesReferenceBitExact)
+/** Restores the SIMD test cap on scope exit. */
+struct SimdCapGuard
 {
-    // Shapes chosen to exercise the packed layout's tails: output
-    // dims below one tile, exactly one tile, and off-tile remainders;
-    // odd input dims; one and two hidden layers; one wide layer whose
-    // panels overflow L1, as in the serving models.
+    explicit SimdCapGuard(cpu::SimdCap cap)
+    {
+        cpu::setSimdCapForTest(cap);
+    }
+    ~SimdCapGuard() { cpu::clearSimdCapForTest(); }
+};
+
+/**
+ * Asserts that blocked backends built by @p makeBlocked score
+ * bit-identically to the reference, over shapes chosen to exercise
+ * the packed layout's tails: output dims below one tile, exactly one
+ * tile, and off-tile remainders; odd input dims; one and two hidden
+ * layers; one wide layer whose panels overflow L1, as in the serving
+ * models.
+ */
+template <class MakeBlocked>
+void
+expectBlockedMatchesReference(MakeBlocked makeBlocked)
+{
     struct Shape
     {
         std::size_t in;
@@ -86,17 +101,20 @@ TEST(BackendEquivalence, BlockedMatchesReferenceBitExact)
         {13, {}, 5},       // no hidden layer at all
         {1031, {257}, 13}, // wide input, off-tile hidden width
     };
-    // The AVX2 kernel scores three rows per register-blocked pass and
-    // the rest one at a time, inside 32-row blocks: these batches
-    // leave every remainder of three both within one block (3, 4, 5,
-    // 7, 31, 32) and across two (33, 59, 64).
-    const std::size_t batches[] = {1,  2,  3,  4,  5,  7,
-                                   17, 31, 32, 33, 59, 64};
+    // Inside 32-row blocks the AVX-512 kernel scores eight rows per
+    // pass and the leftover rows in one shorter pass; the AVX2 kernel
+    // scores three rows per pass and the rest one at a time.  These
+    // batches leave every remainder of eight, and of three, both
+    // within one block (1-9, 15-17, 23, 31, 32) and across two
+    // (33, 34, 36-38, 40, 47, 59, 64).
+    const std::size_t batches[] = {1,  2,  3,  4,  5,  6,  7,  8,
+                                   9,  15, 16, 17, 23, 31, 32, 33,
+                                   34, 36, 37, 38, 40, 47, 59, 64};
     std::uint64_t seed = 1;
     for (const Shape &s : shapes) {
         const Dnn net = makeNet(s.in, s.hidden, s.out, 1000 + seed);
         const auto ref = Backend::create(BackendKind::Reference, net);
-        const auto blk = Backend::create(BackendKind::Blocked, net);
+        const std::unique_ptr<Backend> blk = makeBlocked(net);
         for (const std::size_t batch : batches) {
             const Matrix input = randomInput(batch, s.in, seed++);
             expectBitIdentical(ref->scoreBatch(input),
@@ -104,6 +122,59 @@ TEST(BackendEquivalence, BlockedMatchesReferenceBitExact)
         }
     }
 }
+
+/** The word blocked's isa() reports for the kernel @p cap allows. */
+std::string
+kernelName(cpu::SimdCap cap)
+{
+    switch (cap) {
+      case cpu::SimdCap::Scalar: return "scalar";
+      case cpu::SimdCap::Avx2:   return "avx2";
+      case cpu::SimdCap::Avx512: return "avx512";
+    }
+    return "unknown";
+}
+
+} // namespace
+
+TEST(BackendEquivalence, BlockedMatchesReferenceBitExact)
+{
+    // The kernel this host dispatches to with no cap, as deployed.
+    expectBlockedMatchesReference([](const Dnn &net) {
+        return Backend::create(BackendKind::Blocked, net);
+    });
+}
+
+/** The same check pinned to each blocked kernel in turn. */
+class BlockedKernel : public ::testing::TestWithParam<cpu::SimdCap>
+{
+};
+
+TEST_P(BlockedKernel, MatchesReferenceBitExact)
+{
+    const cpu::SimdCap cap = GetParam();
+    if (cap == cpu::SimdCap::Avx512 && !cpu::cpuSupportsAvx512())
+        GTEST_SKIP() << "CPU lacks AVX-512F: the avx512 kernel is "
+                        "not tested on this host";
+    if (cap == cpu::SimdCap::Avx2 && !cpu::cpuSupportsAvx2())
+        GTEST_SKIP() << "CPU lacks AVX2: the avx2 kernel is not "
+                        "tested on this host";
+    // The cap is read at construction, so it wraps backend creation.
+    expectBlockedMatchesReference([cap](const Dnn &net) {
+        const SimdCapGuard guard(cap);
+        auto blk = Backend::create(BackendKind::Blocked, net);
+        EXPECT_EQ(blk->isa(), kernelName(cap));
+        return blk;
+    });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendEquivalence, BlockedKernel,
+    ::testing::Values(cpu::SimdCap::Scalar, cpu::SimdCap::Avx2,
+                      cpu::SimdCap::Avx512),
+    [](const ::testing::TestParamInfo<cpu::SimdCap> &info) {
+        return kernelName(info.param);
+    });
 
 TEST(BackendEquivalence, ScoreFrameMatchesBatchRow)
 {
@@ -225,20 +296,6 @@ TEST(BackendCostModel, MacsAndWeightBytes)
     EXPECT_FALSE(q->bitIdenticalToReference());
 }
 
-namespace {
-
-/** Restores the SIMD test override on scope exit. */
-struct ScalarOverrideGuard
-{
-    explicit ScalarOverrideGuard(bool force)
-    {
-        cpu::setForceScalarForTest(force);
-    }
-    ~ScalarOverrideGuard() { cpu::clearForceScalarForTest(); }
-};
-
-} // namespace
-
 TEST(BackendSimd, Int8Avx2BitwiseMatchesScalarInt8)
 {
     // Integer accumulation is associative, so int8's vpmaddubsw
@@ -265,7 +322,7 @@ TEST(BackendSimd, Int8Avx2BitwiseMatchesScalarInt8)
         const Dnn net = makeNet(s.in, s.hidden, s.out, 4000 + seed);
         std::unique_ptr<Backend> scalar;
         {
-            const ScalarOverrideGuard guard(true);
+            const SimdCapGuard guard(cpu::SimdCap::Scalar);
             scalar = Backend::create(BackendKind::Int8, net);
         }
         ASSERT_EQ(scalar->isa(), "scalar");
@@ -280,15 +337,16 @@ TEST(BackendSimd, Int8Avx2BitwiseMatchesScalarInt8)
 
 TEST(BackendSimd, ForcedScalarFallbackIsBitIdentical)
 {
-    // With the override asserting "no AVX2", blocked and int8 must
+    // With the cap asserting "no SIMD", blocked and int8 must
     // construct on their scalar kernels: blocked stays bitwise equal
     // to the reference and int8 to int8 built with SIMD allowed.
-    // The override is read at construction, so the guard wraps
-    // backend creation.
+    // The cap is read at construction, so the guard wraps backend
+    // creation.
     const Dnn net = makeNet(33, {17, 9}, 13, 808);
     const auto dispatched = Backend::create(BackendKind::Int8, net);
-    const ScalarOverrideGuard guard(true);
+    const SimdCapGuard guard(cpu::SimdCap::Scalar);
     ASSERT_FALSE(cpu::hasAvx2());
+    ASSERT_FALSE(cpu::hasAvx512());
     const auto ref = Backend::create(BackendKind::Reference, net);
     const auto blk = Backend::create(BackendKind::Blocked, net);
     const auto int8 = Backend::create(BackendKind::Int8, net);
@@ -309,14 +367,25 @@ TEST(BackendSimd, IsaReportsDispatchDecision)
     const auto blk = Backend::create(BackendKind::Blocked, net);
     const auto q = Backend::create(BackendKind::Int8, net);
     EXPECT_EQ(ref->isa(), "scalar");
-    const std::string_view expect =
-        cpu::hasAvx2() ? "avx2" : "scalar";
-    EXPECT_EQ(blk->isa(), expect);
-    EXPECT_EQ(q->isa(), expect);
-    // blocked keeps the bit-identity contract on either kernel.
+    // blocked takes the widest kernel the predicates allow, and the
+    // human-readable level names it in the same word; int8 has no
+    // AVX-512 kernel.
+    const std::string_view widest = cpu::hasAvx512() ? "avx512"
+                                    : cpu::hasAvx2() ? "avx2"
+                                                     : "scalar";
+    EXPECT_EQ(blk->isa(), widest);
+    EXPECT_EQ(cpu::simdLevel(), widest);
+    EXPECT_EQ(q->isa(), cpu::hasAvx2() ? "avx2" : "scalar");
+    // blocked keeps the bit-identity contract on every kernel.
     EXPECT_TRUE(blk->bitIdenticalToReference());
-    // The dispatch predicate and the human-readable level agree.
-    EXPECT_EQ(cpu::simdLevel(), expect);
+
+    // Capped at AVX2, as on a CPU without AVX-512F, blocked takes the
+    // AVX2 kernel.
+    const SimdCapGuard guard(cpu::SimdCap::Avx2);
+    EXPECT_FALSE(cpu::hasAvx512());
+    const auto capped = Backend::create(BackendKind::Blocked, net);
+    EXPECT_EQ(capped->isa(), cpu::cpuSupportsAvx2() ? "avx2" : "scalar");
+    EXPECT_EQ(cpu::simdLevel(), capped->isa());
 }
 
 TEST(BackendEquivalence, ZeroInputRow)

@@ -181,34 +181,51 @@ TEST(Units, Formatting)
 
 TEST(CpuInfo, DispatchPredicateHonorsTestOverride)
 {
-    // Whatever the host supports, forcing scalar must win: the one
-    // predicate the kernels consult goes false and the reported
-    // level follows.  Clearing restores the hardware answer.
-    const bool hw = cpu::cpuSupportsAvx2();
-    cpu::setForceScalarForTest(true);
+    // Whatever the host supports, a scalar cap must win: the
+    // predicates the kernels consult go false and the reported level
+    // follows.  Clearing restores the hardware answer.
+    const bool hw2 = cpu::cpuSupportsAvx2();
+    const bool hw512 = cpu::cpuSupportsAvx512();
+    cpu::setSimdCapForTest(cpu::SimdCap::Scalar);
     EXPECT_TRUE(cpu::simdForcedOff());
     EXPECT_FALSE(cpu::hasAvx2());
+    EXPECT_FALSE(cpu::hasAvx512());
     EXPECT_EQ(cpu::simdLevel(), "scalar");
-    // The override never rewrites the hardware probe itself.
-    EXPECT_EQ(cpu::cpuSupportsAvx2(), hw);
+    // The cap never rewrites the hardware probes themselves.
+    EXPECT_EQ(cpu::cpuSupportsAvx2(), hw2);
+    EXPECT_EQ(cpu::cpuSupportsAvx512(), hw512);
 
-    // setForceScalarForTest(false) overrides even an ASR_FORCE_SCALAR
-    // environment: dispatch follows the hardware alone.
-    cpu::setForceScalarForTest(false);
+    // Capped at AVX2: the AVX2 kernels stay, the AVX-512 one goes.
+    cpu::setSimdCapForTest(cpu::SimdCap::Avx2);
     EXPECT_FALSE(cpu::simdForcedOff());
-    EXPECT_EQ(cpu::hasAvx2(), hw);
+    EXPECT_EQ(cpu::hasAvx2(), hw2);
+    EXPECT_FALSE(cpu::hasAvx512());
+    EXPECT_EQ(cpu::simdLevel(), hw2 ? "avx2" : "scalar");
 
-    cpu::clearForceScalarForTest();
-    EXPECT_EQ(cpu::cpuSupportsAvx2(), hw);
+    // An AVX-512 cap overrides even an ASR_FORCE_SCALAR environment:
+    // dispatch follows the hardware alone.
+    cpu::setSimdCapForTest(cpu::SimdCap::Avx512);
+    EXPECT_FALSE(cpu::simdForcedOff());
+    EXPECT_EQ(cpu::hasAvx2(), hw2);
+    EXPECT_EQ(cpu::hasAvx512(), hw512);
+
+    cpu::clearSimdCapForTest();
+    EXPECT_EQ(cpu::cpuSupportsAvx2(), hw2);
+    EXPECT_EQ(cpu::cpuSupportsAvx512(), hw512);
 }
 
 TEST(CpuInfo, SimdLevelMatchesPredicate)
 {
-    EXPECT_EQ(cpu::simdLevel(), cpu::hasAvx2() ? "avx2" : "scalar");
+    EXPECT_EQ(cpu::simdLevel(), cpu::hasAvx512() ? "avx512"
+                                : cpu::hasAvx2() ? "avx2"
+                                                 : "scalar");
     // Probe caching: repeated calls must agree.
-    const bool first = cpu::hasAvx2();
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(cpu::hasAvx2(), first);
+    const bool first2 = cpu::hasAvx2();
+    const bool first512 = cpu::hasAvx512();
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(cpu::hasAvx2(), first2);
+        EXPECT_EQ(cpu::hasAvx512(), first512);
+    }
 }
 
 TEST(Table, RendersAlignedColumns)

@@ -212,22 +212,6 @@ TEST(Decoder, FinalWeightsSelectFinalState)
     EXPECT_EQ(df.decode(scores).bestState, 2u);
 }
 
-TEST(Decoder, VisitCountsAccumulate)
-{
-    const wfst::Figure2Example ex = wfst::buildFigure2Example();
-    DecoderConfig cfg;
-    cfg.beam = ex.beam;
-    ViterbiDecoder dec(ex.wfst, cfg);
-    const auto scores =
-        acoustic::AcousticLikelihoods::fromNested(ex.frames);
-    dec.decode(scores);
-    const auto first = dec.stateVisitCounts()[0];
-    dec.decode(scores);
-    EXPECT_EQ(dec.stateVisitCounts()[0], 2 * first);
-    dec.clearVisitCounts();
-    EXPECT_EQ(dec.stateVisitCounts()[0], 0u);
-}
-
 TEST(Decoder, EmptyScoresYieldSeedOnly)
 {
     const wfst::Figure2Example ex = wfst::buildFigure2Example();
