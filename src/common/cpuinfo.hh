@@ -22,7 +22,7 @@
  *    process).  It replaces the environment's answer while set.
  *
  * Thread safety: all functions are safe to call concurrently; the
- * hardware probe is cached after the first call.
+ * hardware probes are cached after the first call.
  */
 
 #ifndef ASR_COMMON_CPUINFO_HH
