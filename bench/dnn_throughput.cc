@@ -8,8 +8,8 @@
  * reference kernel at the same batch -- the
  * GEMM-efficiency-from-batching effect the paper exploits by
  * offloading DNN scoring to a throughput device (Sec. II).  Each row
- * records the kernel its backend dispatched to (`isa`: "avx2" or
- * "scalar"; ASR_FORCE_SCALAR=1 forces "scalar").
+ * records the kernel its backend dispatched to (`isa`: "avx512",
+ * "avx2" or "scalar"; ASR_FORCE_SCALAR=1 forces "scalar").
  *
  * Also verifies on the fly that the blocked backend is bit-identical
  * to the reference (the float contract of acoustic/backend.hh) and
