@@ -14,7 +14,8 @@
  * the sweep measures pure scheduling/parallelism effects.
  *
  * The reference pass decodes the corpus sequentially through
- * inline-scoring StreamingSessions (one DNN forward per frame); its
+ * inline-scoring StreamingSessions that push 10 ms chunks and score
+ * each chunk's parked row at once (one DNN forward per frame); its
  * row is the baseline.  Every engine row coalesces the pending frames
  * of all active sessions into one DNN forward per tick.  Batching
  * pays off even on a single core because the GEMM amortizes
@@ -126,7 +127,9 @@ struct SweepPoint
 /**
  * Decode the corpus sequentially through inline-scoring sessions
  * (ids 0..n-1, the engine's numbering): the bit-identity reference
- * and the per-frame-scoring baseline row.
+ * and the per-frame-scoring baseline row.  Each 160-sample push (one
+ * 10 ms frame shift at 16 kHz) parks about one row, which
+ * scorePending() scores at once.
  */
 std::vector<pipeline::RecognitionResult>
 runReference(const pipeline::AsrModel &model,
@@ -141,7 +144,14 @@ runReference(const pipeline::AsrModel &model,
         cfg.id = u;
         cfg.baseSeed = kBaseSeed;
         server::StreamingSession session(model, cfg);
-        session.pushAudio(corpus[u].samples);
+        const std::vector<float> &s = corpus[u].samples;
+        for (std::size_t base = 0; base < s.size(); base += 160) {
+            const std::size_t len =
+                std::min<std::size_t>(160, s.size() - base);
+            session.pushAudio(
+                std::span<const float>(s.data() + base, len));
+            session.scorePending();
+        }
         results.push_back(session.finish());
     }
     wall_seconds = std::chrono::duration<double>(

@@ -13,8 +13,8 @@
  *     per tick, with the engine-level aggregate stats (utterances/sec,
  *     RTF distribution, p50/p99 latency, batch sizes) a production
  *     deployment is judged by -- and results bit-identical to an
- *     inline, frame-by-frame StreamingSession decode of each
- *     utterance.
+ *     inline-scoring StreamingSession decode of each utterance,
+ *     which scores only its own frames.
  *  3. Live streaming clients: several concurrent handles pushing in
  *     real-world-sized chunks, their frames joining the same
  *     cross-session batches, with time-to-first-partial percentiles
@@ -168,9 +168,9 @@ main(int argc, char **argv)
 
     std::printf("\nengine stats:\n%s", engine.stats().render().c_str());
 
-    // The reference: each utterance decoded alone by an inline
-    // StreamingSession, one DNN forward per frame, as the same
-    // session id.
+    // The reference: each utterance decoded alone by an
+    // inline-scoring StreamingSession, which scores its own frames
+    // in row blocks at finish(), as the same session id.
     bool identical = true;
     for (unsigned u = 0; u < num_utterances; ++u) {
         server::SessionConfig scfg;
@@ -183,7 +183,7 @@ main(int argc, char **argv)
         identical = identical && r.words == burst_results[u].words &&
                     r.score == burst_results[u].score;
     }
-    std::printf("results bit-identical to inline per-frame scoring: "
+    std::printf("results bit-identical to inline-scoring sessions: "
                 "%s\n", identical ? "yes" : "NO");
     if (!identical)
         fatal("batched scoring diverged from inline results");

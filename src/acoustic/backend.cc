@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "common/compiler.hh"
 #include "common/cpuinfo.hh"
@@ -78,24 +80,6 @@ class ReferenceBackend final : public Backend
     scoreBatch(const Matrix &input) const override
     {
         return net.forward(input);
-    }
-
-    void
-    scoreFrame(std::span<const float> spliced, std::span<float> out,
-               FrameScratch &) const override
-    {
-        ASR_ASSERT(spliced.size() == inputDim() &&
-                       out.size() == outputDim(),
-                   "scoreFrame dim mismatch");
-        // One-row batch through the exact batch path: the reference
-        // backend is the baseline other backends are measured
-        // against, so it keeps the naive per-frame allocations.
-        Matrix row(1, spliced.size());
-        std::copy(spliced.begin(), spliced.end(),
-                  row.row(0).begin());
-        const Matrix logp = net.forward(row);
-        std::copy(logp.row(0).begin(), logp.row(0).end(),
-                  out.begin());
     }
 
     std::uint64_t macsPerFrame() const override { return macs; }
@@ -327,10 +311,10 @@ dotPassAvx512(std::size_t n, const float *ASR_RESTRICT x,
 
 /**
  * gemmPanel's contract over a register-blocked kernel: rows [r0, r1)
- * go Block at a time, and the leftover rows (and scoreFrame's single
- * row) as one shorter pass, through Pass; the bias is added after
- * each full sum.  Every row's outputs depend only on that row, so a
- * frame scores the same in any batch.
+ * go Block at a time, and the leftover rows as one shorter pass,
+ * through Pass; the bias is added after each full sum.  Every row's
+ * outputs depend only on that row, so a frame scores the same in any
+ * batch.
  */
 template <std::size_t Block, DotRows Pass>
 void
@@ -437,46 +421,6 @@ class BlockedBackend final : public Backend
         }
         logSoftmaxRows(cur);
         return cur;
-    }
-
-    void
-    scoreFrame(std::span<const float> spliced, std::span<float> out,
-               FrameScratch &scratch) const override
-    {
-        ASR_ASSERT(spliced.size() == inputDim() &&
-                       out.size() == outputDim(),
-                   "scoreFrame dim mismatch");
-        const float *x = spliced.data();
-        std::size_t xn = spliced.size();
-        for (std::size_t l = 0; l < layers.size(); ++l) {
-            const PackedLayer &layer = layers[l];
-            const bool last = l + 1 == layers.size();
-            float *y;
-            if (last) {
-                y = out.data();
-            } else {
-                std::vector<float> &buf =
-                    (l % 2 == 0) ? scratch.a : scratch.b;
-                if (buf.size() < layer.out)
-                    buf.resize(layer.out);
-                y = buf.data();
-            }
-            ASR_ASSERT(xn == layer.in, "layer dim mismatch");
-            for (std::size_t tile = 0; tile < layer.tiles; ++tile) {
-                const float *panel =
-                    layer.packed.data() + tile * layer.in * kTile;
-                const std::size_t j0 = tile * kTile;
-                kernel.run(x, layer.in, panel, layer.bias.data(), j0,
-                           std::min(kTile, layer.out - j0), y,
-                           layer.out, 0, 1);
-            }
-            if (!last)
-                for (std::size_t j = 0; j < layer.out; ++j)
-                    y[j] = std::max(y[j], 0.0f);
-            x = y;
-            xn = layer.out;
-        }
-        logSoftmaxRow(out);
     }
 
     std::uint64_t macsPerFrame() const override { return macs; }
@@ -693,20 +637,10 @@ class Int8Backend final : public Backend
                    "backend input dim %zu != %zu", input.cols(),
                    inputDim());
         Matrix out(input.rows(), outputDim());
-        FrameScratch scratch;
+        RowScratch scratch;
         for (std::size_t r = 0; r < input.rows(); ++r)
             scoreRow(input.row(r), out.row(r), scratch);
         return out;
-    }
-
-    void
-    scoreFrame(std::span<const float> spliced, std::span<float> out,
-               FrameScratch &scratch) const override
-    {
-        ASR_ASSERT(spliced.size() == inputDim() &&
-                       out.size() == outputDim(),
-                   "scoreFrame dim mismatch");
-        scoreRow(spliced, out, scratch);
     }
 
     std::uint64_t macsPerFrame() const override { return macs; }
@@ -718,14 +652,24 @@ class Int8Backend final : public Backend
 
   private:
     /**
-     * Score one row.  Identical arithmetic whether called from the
-     * batch or the streaming entry point (quantization is per row),
-     * so the two paths agree bit-for-bit with each other -- just not
-     * with the float backends.
+     * One scoreBatch call's activation buffers, reused across its
+     * rows; they grow to the largest layer once.
+     */
+    struct RowScratch
+    {
+        std::vector<float> a;        //!< ping activation buffer
+        std::vector<float> b;        //!< pong activation buffer
+        std::vector<std::int8_t> q;  //!< quantized activations
+    };
+
+    /**
+     * Score one row.  Quantization is per row, so a row scores the
+     * same bits alone or in any batch -- just not the float backends'
+     * bits.
      */
     void
     scoreRow(std::span<const float> input, std::span<float> out,
-             FrameScratch &scratch) const
+             RowScratch &scratch) const
     {
         const float *x = input.data();
         std::size_t xn = input.size();

@@ -7,10 +7,9 @@
  * scores batch i while the accelerator searches batch i-1).  This
  * interface is the reproduction's seam for that: everything that
  * turns spliced MFCC rows into per-senone log-softmax scores goes
- * through an acoustic::Backend, with a batch entry point (the GEMM
- * path the server's cross-session BatchScorer drives) and a
- * streaming-frame entry point (one spliced row, zero steady-state
- * allocation, what a live session uses between batch ticks).
+ * through an acoustic::Backend's one entry point, scoreBatch: the
+ * GEMM the server's cross-session BatchScorer drives once per tick,
+ * and the one an inline-scoring session drives over its own rows.
  *
  * Three implementations, each with one kernel dispatch decided at
  * construction (common/cpuinfo.hh; isa() reports the choice):
@@ -42,15 +41,14 @@
  * accumulator over k in ascending order (acoustic::matmulTransposed),
  * bias added after the full dot product, ReLU between hidden layers,
  * and normalization through acoustic::logSoftmaxRow.  Because each
- * output row depends only on its input row, scoreBatch over any
- * batch, scoreFrame on a single row, and any cross-session coalescing
- * of rows into one batch are all bit-identical -- this is what lets
- * the server batch frames from unrelated sessions without touching
- * PR 2's determinism contract.
+ * output row depends only on its input row, a row scores the same
+ * bits alone, in any batch, and in any cross-session coalescing of
+ * rows -- this is what lets the server batch frames from unrelated
+ * sessions without touching the determinism contract.
  *
- * Thread safety: backends are immutable after construction; both
- * entry points are const and use caller-provided or local scratch, so
- * one backend instance serves any number of concurrent sessions.
+ * Thread safety: backends are immutable after construction;
+ * scoreBatch is const and uses only local scratch, so one backend
+ * instance serves any number of concurrent sessions.
  */
 
 #ifndef ASR_ACOUSTIC_BACKEND_HH
@@ -58,9 +56,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string_view>
-#include <vector>
 
 #include "acoustic/dnn.hh"
 #include "acoustic/matrix.hh"
@@ -87,18 +83,6 @@ std::string_view backendName(BackendKind kind);
  */
 constexpr std::size_t kRowBlock = 32;
 
-/**
- * Caller-owned scratch for the streaming-frame entry point.  A
- * session keeps one of these alive so per-frame scoring allocates
- * nothing in steady state; buffers grow to the largest layer once.
- */
-struct FrameScratch
-{
-    std::vector<float> a;           //!< ping activation buffer
-    std::vector<float> b;           //!< pong activation buffer
-    std::vector<std::int8_t> q;     //!< quantized activations (int8)
-};
-
 /** Abstract scorer over a trained Dnn's parameters. */
 class Backend
 {
@@ -124,20 +108,11 @@ class Backend
     std::size_t outputDim() const { return outDim; }
 
     /**
-     * Batch entry point: @p input is batch x inputDim spliced feature
+     * The entry point: @p input is batch x inputDim spliced feature
      * rows; returns batch x outputDim log-softmax scores.  Row r of
      * the result depends only on row r of the input.
      */
     virtual Matrix scoreBatch(const Matrix &input) const = 0;
-
-    /**
-     * Streaming entry point: score one spliced frame into @p out
-     * (outputDim entries), reusing @p scratch across calls.
-     * Bit-identical to the corresponding row of scoreBatch.
-     */
-    virtual void scoreFrame(std::span<const float> spliced,
-                            std::span<float> out,
-                            FrameScratch &scratch) const = 0;
 
     /** Multiply-accumulates one frame costs (analytical models). */
     virtual std::uint64_t macsPerFrame() const = 0;

@@ -57,7 +57,7 @@ constexpr std::size_t kChunkSamples = 160;
  * paced client holds one chunk per frame shift, so its batches come
  * from the frame clock (awaitFrameClock), and only a stream behind
  * real time advances several chunks at once.  Results stay
- * bit-identical to inline per-frame scoring regardless.
+ * bit-identical to an inline-scoring session regardless.
  */
 constexpr std::size_t kChunksPerTick = 8;
 
@@ -191,11 +191,20 @@ Engine::~Engine()
 std::future<pipeline::RecognitionResult>
 Engine::submit(frontend::AudioSignal audio)
 {
-    if (!allFinite(audio.samples)) {
-        // Refused before anything is queued or counted.
+    // Refused before anything is queued or counted.  The session
+    // consumes raw samples, so audio at another rate would silently
+    // skew framing and every derived stat (audioSeconds, RTF); live
+    // streams push bare samples, which are defined to be at the
+    // model's rate.
+    const char *refusal = nullptr;
+    if (!allFinite(audio.samples))
+        refusal = "one-shot audio holds a NaN or infinite sample";
+    else if (audio.sampleRate != model_.mfcc().config().sampleRate)
+        refusal = "one-shot audio sample rate does not match the model's";
+    if (refusal) {
         std::promise<pipeline::RecognitionResult> refused;
-        refused.set_exception(std::make_exception_ptr(std::invalid_argument(
-            "one-shot audio holds a NaN or infinite sample")));
+        refused.set_exception(
+            std::make_exception_ptr(std::invalid_argument(refusal)));
         return refused.get_future();
     }
     std::future<pipeline::RecognitionResult> future;
@@ -597,19 +606,6 @@ Engine::submittedCount() const
 server::SessionConfig
 Engine::sessionConfigFor(const Job &job) const
 {
-    if (!job.live) {
-        // Mirror the batch path's front-end check: the session
-        // consumes raw samples, so a rate mismatch would silently
-        // skew framing and every derived stat (audioSeconds, RTF,
-        // throughput).  Live streams push bare samples, which are
-        // defined to be at the model's rate.
-        ASR_ASSERT(job.audio.sampleRate ==
-                       model_.mfcc().config().sampleRate,
-                   "audio sample rate %u does not match the "
-                   "model's %u",
-                   job.audio.sampleRate,
-                   model_.mfcc().config().sampleRate);
-    }
     server::SessionConfig scfg;
     // The one knob hand-off in the whole engine: a slice assignment
     // of the shared SessionKnobs, so a knob added there reaches the
@@ -618,8 +614,6 @@ Engine::sessionConfigFor(const Job &job) const
         static_cast<const server::SessionKnobs &>(opts);
     scfg.id = job.sessionId;
     scfg.baseSeed = opts.baseSeed;
-    // Every session is scored by the coordinator's BatchScorer.
-    scfg.deferScoring = true;
     if (job.live) {
         // Per-stream degradation overrides (the overload layer's
         // lever): tighter search on this stream only, engine-wide

@@ -140,9 +140,10 @@ class Engine : public StreamEndpoint
      * future of the final result (its sessionId field records the
      * assigned id).
      *
-     * Audio holding a NaN or +-Inf sample is refused under pushFor()'s
-     * rule: nothing is queued, no session id is taken, no job is
-     * counted, and the returned future holds a std::invalid_argument.
+     * Audio holding a NaN or +-Inf sample (pushFor()'s rule), or
+     * sampled at a rate other than the model's MFCC rate, is refused:
+     * nothing is queued, no session id is taken, no job is counted,
+     * and the returned future holds a std::invalid_argument.
      * Denormals, +-0 and +-FLT_MAX are ordinary audio.
      */
     std::future<pipeline::RecognitionResult>

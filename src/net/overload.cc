@@ -11,8 +11,6 @@ OverloadMonitor::OverloadMonitor(const OverloadOptions &options)
 {
     ASR_ASSERT(opts.smoothing > 0.0 && opts.smoothing <= 1.0,
                "EWMA smoothing must be in (0, 1]");
-    ASR_ASSERT(opts.exitFraction > 0.0 && opts.exitFraction < 1.0,
-               "hysteresis exit fraction must be in (0, 1)");
     ASR_ASSERT(opts.degradeTickLagMs <= opts.shedTickLagMs &&
                    opts.degradeQueueDepth <= opts.shedQueueDepth,
                "degrade thresholds must not exceed shed thresholds");
@@ -32,16 +30,14 @@ OverloadMonitor::observe(double tick_lag_ms, std::size_t queue_depth)
     const bool past_shed = lagEwma >= opts.shedTickLagMs ||
                            depthEwma >= double(opts.shedQueueDepth);
     const bool below_shed_exit =
-        lagEwma < opts.exitFraction * opts.shedTickLagMs &&
-        depthEwma <
-            opts.exitFraction * double(opts.shedQueueDepth);
+        lagEwma < kExitFraction * opts.shedTickLagMs &&
+        depthEwma < kExitFraction * double(opts.shedQueueDepth);
     const bool past_degrade =
         lagEwma >= opts.degradeTickLagMs ||
         depthEwma >= double(opts.degradeQueueDepth);
     const bool below_degrade_exit =
-        lagEwma < opts.exitFraction * opts.degradeTickLagMs &&
-        depthEwma <
-            opts.exitFraction * double(opts.degradeQueueDepth);
+        lagEwma < kExitFraction * opts.degradeTickLagMs &&
+        depthEwma < kExitFraction * double(opts.degradeQueueDepth);
 
     State next = state_;
     switch (state_) {
@@ -91,7 +87,7 @@ OverloadMonitor::degradedMaxActive(std::uint32_t base_max_active) const
     std::uint32_t capped = opts.degradedMaxActive;
     if (base_max_active > 0)
         capped = std::min(capped, base_max_active);
-    capped = std::max(opts.maxActiveFloor, capped);
+    capped = std::max(kMaxActiveFloor, capped);
     if (base_max_active > 0)
         capped = std::min(capped, base_max_active);
     return capped;

@@ -36,11 +36,20 @@
 
 namespace asr::net {
 
+/**
+ * Hysteresis: a state is left only once both smoothed signals drop
+ * below this fraction of its entry thresholds.
+ */
+constexpr double kExitFraction = 0.5;
+
+/** The lowest maxActive a degraded admission caps a stream to. */
+constexpr std::uint32_t kMaxActiveFloor = 500;
+
 /** Thresholds and degradation knobs of the OverloadMonitor. */
 struct OverloadOptions
 {
     // Entry thresholds (smoothed signal >= threshold enters the
-    // state); exits happen below exitFraction * entry.
+    // state); exits happen below kExitFraction * entry.
     double degradeTickLagMs = 20.0;  //!< enter Degraded
     double shedTickLagMs = 100.0;    //!< enter Shedding
     std::size_t degradeQueueDepth = 64;   //!< parked chunks
@@ -49,17 +58,13 @@ struct OverloadOptions
     /** EWMA weight of the newest observation, in (0, 1]. */
     double smoothing = 0.2;
 
-    /** Exit below this fraction of the entry threshold (hysteresis). */
-    double exitFraction = 0.5;
-
     /**
      * Degraded-admission knobs: beam is scaled (never below
-     * beamFloor), maxActive is capped (never below maxActiveFloor).
+     * beamFloor), maxActive is capped (never below kMaxActiveFloor).
      */
     float beamScale = 0.6f;
     float beamFloor = 6.0f;
     std::uint32_t degradedMaxActive = 2000;
-    std::uint32_t maxActiveFloor = 500;
 
     /**
      * Set false for a reject-only policy: the Degraded band

@@ -572,7 +572,7 @@ Server::handlePush(Connection &conn, const Frame &frame)
     // the engine drains the backlog; TCP flow control pushes the
     // stall back to the producing client without costing a thread.
     if (!conn.readPaused &&
-        conn.parkedTotal >= opts.maxParkedChunks) {
+        conn.parkedTotal >= kMaxParkedChunks) {
         conn.readPaused = true;
         updateInterest(conn);
     }
@@ -735,7 +735,7 @@ Server::serviceStreams(Connection &conn)
     // Resume reads once the backlog halves: hysteresis, so a
     // connection hovering at the bound does not thrash epoll_ctl.
     if (conn.readPaused &&
-        conn.parkedTotal <= opts.maxParkedChunks / 2) {
+        conn.parkedTotal <= kMaxParkedChunks / 2) {
         conn.readPaused = false;
         updateInterest(conn);
     }

@@ -16,11 +16,11 @@
  *    acknowledged with the stream's (empty) first PARTIAL.
  *  - PUSH goes through Engine::pushFor(h, chunk, 0): a WouldBlock
  *    (engine backpressure) parks the chunk in a per-stream backlog
- *    the loop retries each pass, and once the backlog exceeds
- *    ServerOptions::maxParkedChunks the connection's EPOLLIN is
- *    dropped -- per-connection backpressure propagated to TCP flow
- *    control, instead of one stalled stream wedging the loop thread
- *    the way a blocking push() would.
+ *    the loop retries each pass, and once the backlog reaches
+ *    kMaxParkedChunks the connection's EPOLLIN is dropped --
+ *    per-connection backpressure propagated to TCP flow control,
+ *    instead of one stalled stream wedging the loop thread the way
+ *    a blocking push() would.
  *  - FINISH captures the result future; the loop polls it (0-wait)
  *    and sends FINAL when decoding completes.
  *
@@ -56,6 +56,13 @@
 
 namespace asr::net {
 
+/**
+ * Chunks parked per connection (across its streams) under engine
+ * backpressure before the connection's reads are paused; reads resume
+ * once the backlog halves.
+ */
+constexpr std::size_t kMaxParkedChunks = 64;
+
 /** Front-door configuration. */
 struct ServerOptions
 {
@@ -76,12 +83,6 @@ struct ServerOptions
 
     /** Hint carried in RETRY_AFTER responses. */
     std::uint32_t retryAfterMs = 50;
-
-    /**
-     * Chunks parked per connection (across its streams) under engine
-     * backpressure before the connection's reads are paused.
-     */
-    std::size_t maxParkedChunks = 64;
 
     /**
      * Bounded wait on FINISH futures: a finishing stream whose

@@ -104,19 +104,4 @@ AsrModel::trainAcousticModel()
     trainAccuracy = dnn_.accuracy(x, y);
 }
 
-void
-AsrModel::scoreSplicedFrameInto(std::span<const float> spliced,
-                                std::span<float> likes,
-                                acoustic::FrameScratch &scratch) const
-{
-    ASR_ASSERT(spliced.size() == backend_->inputDim(),
-               "spliced feature dim %zu != backend input dim %zu",
-               spliced.size(), backend_->inputDim());
-    ASR_ASSERT(likes.size() == backend_->outputDim() + 1,
-               "likelihood buffer %zu != %zu", likes.size(),
-               backend_->outputDim() + 1);
-    likes[0] = wfst::kLogZero;  // epsilon slot (phonemes are 1-based)
-    backend_->scoreFrame(spliced, likes.subspan(1), scratch);
-}
-
 } // namespace asr::pipeline

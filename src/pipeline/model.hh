@@ -17,10 +17,9 @@
  *    all accessors are const and touch only immutable state.
  *  - The referenced Wfst is immutable by construction.
  *  - frontend::Mfcc::compute/computeFrame, acoustic::Dnn::forward,
- *    the acoustic::Backend entry points (immutable packed weights,
- *    caller-provided scratch) and frontend::Synthesizer::synthesize
- *    are const and use only local scratch, so concurrent calls
- *    through this model are safe.
+ *    acoustic::Backend::scoreBatch (immutable packed weights) and
+ *    frontend::Synthesizer::synthesize are const and use only local
+ *    scratch, so concurrent calls through this model are safe.
  *  - The caller must keep the Wfst (and the model) alive for as long
  *    as any session uses them.
  */
@@ -30,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -94,20 +92,6 @@ class AsrModel
 
     /** Training-set frame classification accuracy of the DNN. */
     float acousticModelAccuracy() const { return trainAccuracy; }
-
-    /**
-     * Score one spliced feature row ((2*context+1)*numCeps values)
-     * for streaming sessions, without allocating.  Row-independent
-     * and bit-identical to the corresponding row of scorer().score()
-     * over the whole utterance, which is what makes streaming and
-     * batch decoding agree exactly.  Writes log-likelihoods indexed
-     * by phoneme id into @p likes (numPhonemes + 1 entries, slot 0
-     * set to kLogZero), reusing @p scratch across calls.  Safe to
-     * call concurrently with distinct scratch objects.
-     */
-    void scoreSplicedFrameInto(std::span<const float> spliced,
-                               std::span<float> likes,
-                               acoustic::FrameScratch &scratch) const;
 
   private:
     void trainAcousticModel();

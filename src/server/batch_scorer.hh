@@ -2,13 +2,14 @@
  * @file
  * Cross-session batched DNN scoring (the paper's Sec. III-A insight
  * applied to serving): GEMM efficiency on a throughput device comes
- * from batch size, so instead of every session running its own
- * one-row forward per frame, api::Engine's coordinator coalesces
- * the pending spliced frames of *all* active sessions into a single
- * forward pass per tick.  The acoustic::Backend's row-wise
- * bit-identity contract makes this free of numeric consequences on
- * the float paths: each session's scores are bit-identical to inline
- * per-frame scoring no matter how frames are coalesced.
+ * from batch size, so instead of every session scoring its own
+ * pending rows (StreamingSession::scorePending), api::Engine's
+ * coordinator coalesces the pending spliced frames of *all* active
+ * sessions into a single forward pass per tick.  Row r of
+ * acoustic::Backend::scoreBatch depends only on input row r, so
+ * this is free of numeric consequences on every backend: each
+ * session's scores are bit-identical to an inline-scoring session's
+ * no matter how frames are coalesced.
  *
  * A tick that gathers more than one acoustic::kRowBlock of rows is
  * scored as row slabs, one per Fanout part (the engine's coordinator

@@ -10,9 +10,6 @@ SegmentedSession::SegmentedSession(const pipeline::AsrModel &model,
                                    const SegmentedConfig &config)
     : model(model), cfg(config), endpointer(cfg.endpoint)
 {
-    ASR_ASSERT(cfg.session.deferScoring,
-               "segment sessions are scored by an external batch "
-               "scorer (set SessionConfig::deferScoring)");
     ASR_ASSERT(cfg.endpoint.sampleRate ==
                    model.mfcc().config().sampleRate,
                "endpointer sample rate %u != model sample rate %u",

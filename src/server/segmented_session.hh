@@ -18,11 +18,10 @@
  * manual StreamingSession decode of that slice -- the contract
  * tests/endpointing_corpus_test.cc asserts.
  *
- * Segment sessions use deferred scoring (cfg.session.deferScoring
- * must be set; the constructor asserts it), driven by api::Engine's
- * coordinator: pushAudio() only accumulates spliced rows in the
- * active StreamingSession; the coordinator scores them externally and
- * then resolves segment closes:
+ * Segment sessions are scored by api::Engine's coordinator, like
+ * every engine session: pushAudio() only parks spliced rows in the
+ * active StreamingSession; the coordinator scores them in its
+ * cross-session batch and then resolves segment closes:
  *   pushAudio ... / beginFinish
  *     -> active()->exportPending / consumePendingScores (coordinator)
  *     -> segmentClosing() && pendingRows()==0: finalizeSegment()
@@ -66,8 +65,7 @@ struct SegmentBoundary
 /** Configuration of one always-on session. */
 struct SegmentedConfig
 {
-    /** Decode knobs shared by every segment's StreamingSession
-     *  (deferScoring must be set). */
+    /** Decode knobs shared by every segment's StreamingSession. */
     SessionConfig session;
 
     /** Segmentation knobs (VAD thresholds, onset/hangover, ...). */
@@ -107,7 +105,7 @@ class SegmentedSession
      *  segments). */
     std::vector<wfst::WordId> partialWords() const;
 
-    // -- Deferred-scoring protocol -----------------------------------
+    // -- Batch-scoring protocol --------------------------------------
 
     /** End of stream: flush the endpointer and start draining. */
     void beginFinish();
@@ -142,7 +140,7 @@ class SegmentedSession
                !endpointer.eventReady();
     }
 
-    /** Deferred finish, last step (requires finishReady()). */
+    /** Finish, last step (requires finishReady()). */
     pipeline::RecognitionResult finalizeFinish();
 
     // -- Introspection ----------------------------------------------

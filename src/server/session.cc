@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "acoustic/backend.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 
@@ -54,17 +55,17 @@ StreamingSession::drainReadyFrames(bool flush)
 {
     const unsigned ctx = model.contextFrames();
     const std::size_t total = rawBase + rawFeats.size();
-    while (scoredUpTo < total) {
+    while (parkedUpTo < total) {
         // Frame f needs right context up to f + ctx; mid-stream we
         // wait for it, at flush the edge replicates (like batch
         // spliceContext), so results match the batch path exactly.
-        if (!flush && scoredUpTo + ctx >= total)
+        if (!flush && parkedUpTo + ctx >= total)
             break;
-        scoreAndFeed(scoredUpTo, total);
-        ++scoredUpTo;
+        parkFrame(parkedUpTo, total);
+        ++parkedUpTo;
         // Frames older than the next splice window's left edge are
         // done; drop them so a long-lived session stays bounded.
-        while (rawBase + ctx < scoredUpTo) {
+        while (rawBase + ctx < parkedUpTo) {
             rawFeats.pop_front();
             ++rawBase;
         }
@@ -72,44 +73,21 @@ StreamingSession::drainReadyFrames(bool flush)
 }
 
 void
-StreamingSession::spliceFrame(std::size_t f, std::size_t total_hint)
+StreamingSession::parkFrame(std::size_t f, std::size_t total_hint)
 {
+    const auto t0 = std::chrono::steady_clock::now();
     const unsigned ctx = model.contextFrames();
     const std::size_t dim = rawFeats[f - rawBase].size();
-    splicedScratch.resize((2 * std::size_t(ctx) + 1) * dim);
+    const std::size_t width = (2 * std::size_t(ctx) + 1) * dim;
+    pendingSpliced.resize(pendingSpliced.size() + width);
     frontend::spliceWindowInto(
         f, total_hint, ctx, dim,
         [this](std::size_t i) -> const std::vector<float> & {
             return rawFeats[i - rawBase];
         },
-        splicedScratch);
-}
-
-void
-StreamingSession::scoreAndFeed(std::size_t f, std::size_t total_hint)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    spliceFrame(f, total_hint);
-
-    if (cfg.deferScoring) {
-        // Park the spliced row for the cross-session batch scorer.
-        pendingSpliced.insert(pendingSpliced.end(),
-                              splicedScratch.begin(),
-                              splicedScratch.end());
-        ++pendingRows_;
-        acousticSeconds += secondsSince(t0);
-        return;
-    }
-
-    likesScratch.resize(model.backend().outputDim() + 1);
-    model.scoreSplicedFrameInto(splicedScratch, likesScratch,
-                                frameScratch);
+        std::span<float>(pendingSpliced).last(width));
+    ++pendingRows_;
     acousticSeconds += secondsSince(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    search_->streamFrame(likesScratch);
-    searchSeconds += secondsSince(t0);
-    ++framesFed;
 }
 
 std::vector<wfst::WordId>
@@ -122,14 +100,9 @@ StreamingSession::partialWords() const
 pipeline::RecognitionResult
 StreamingSession::finish()
 {
-    ASR_ASSERT(!cfg.deferScoring,
-               "deferred sessions finish via flushPending + "
-               "consumePendingScores + finalizeFinish");
-    ASR_ASSERT(!finished, "finish() called twice");
-    finished = true;
-
-    drainReadyFrames(/*flush=*/true);
-    return finalizeResult();
+    flushPending();
+    scorePending();
+    return finalizeFinish();
 }
 
 std::size_t
@@ -157,29 +130,54 @@ StreamingSession::consumePendingScores(const acoustic::Matrix &logp,
                                        std::size_t base,
                                        double acoustic_seconds)
 {
-    ASR_ASSERT(cfg.deferScoring, "not a deferred session");
     ASR_ASSERT(base + pendingRows_ <= logp.rows(),
                "score matrix too small for pending rows");
     acousticSeconds += acoustic_seconds;
+    feedScores(logp, base, pendingRows_);
+    pendingSpliced.clear();
+    pendingRows_ = 0;
+}
 
-    auto t0 = std::chrono::steady_clock::now();
+void
+StreamingSession::scorePending()
+{
+    const acoustic::Backend &backend = model.backend();
+    const std::size_t dim = splicedDim();
+    for (std::size_t r0 = 0; r0 < pendingRows_;
+         r0 += acoustic::kRowBlock) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::size_t n =
+            std::min(acoustic::kRowBlock, pendingRows_ - r0);
+        acoustic::Matrix slice(n, dim);
+        std::copy_n(pendingSpliced.begin() + r0 * dim, n * dim,
+                    slice.data().begin());
+        const acoustic::Matrix logp = backend.scoreBatch(slice);
+        acousticSeconds += secondsSince(t0);
+        feedScores(logp, 0, n);
+    }
+    pendingSpliced.clear();
+    pendingRows_ = 0;
+}
+
+void
+StreamingSession::feedScores(const acoustic::Matrix &logp,
+                             std::size_t base, std::size_t rows)
+{
+    const auto t0 = std::chrono::steady_clock::now();
     likesScratch.resize(model.backend().outputDim() + 1);
-    likesScratch[0] = wfst::kLogZero;
-    for (std::size_t r = 0; r < pendingRows_; ++r) {
+    likesScratch[0] = wfst::kLogZero;  // epsilon slot (1-based phonemes)
+    for (std::size_t r = 0; r < rows; ++r) {
         const auto src = logp.row(base + r);
         std::copy(src.begin(), src.end(), likesScratch.begin() + 1);
         search_->streamFrame(likesScratch);
         ++framesFed;
     }
     searchSeconds += secondsSince(t0);
-    pendingSpliced.clear();
-    pendingRows_ = 0;
 }
 
 void
 StreamingSession::flushPending()
 {
-    ASR_ASSERT(cfg.deferScoring, "not a deferred session");
     ASR_ASSERT(!finished, "flushPending() after finish");
     finished = true;
     drainReadyFrames(/*flush=*/true);
@@ -188,8 +186,7 @@ StreamingSession::flushPending()
 pipeline::RecognitionResult
 StreamingSession::finalizeFinish()
 {
-    ASR_ASSERT(cfg.deferScoring && finished,
-               "finalizeFinish() before flushPending()");
+    ASR_ASSERT(finished, "finalizeFinish() before flushPending()");
     ASR_ASSERT(pendingRows_ == 0,
                "finalizeFinish() with unscored pending frames");
     return finalizeResult();

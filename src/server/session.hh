@@ -6,14 +6,28 @@
  * A session pipelines the three stages incrementally:
  *
  *   pushAudio ──► StreamingMfcc (25 ms windows / 10 ms hop)
- *              ──► context splice + per-frame DNN scoring
+ *              ──► context splice into pending rows
+ *              ──► acoustic::Backend::scoreBatch
  *              ──► frame-synchronous search (search::Backend)
  *
- * A frame is scored as soon as its right DNN context exists, so the
- * decoder lags the audio by contextFrames x 10 ms; finish() flushes
- * the tail with the same edge replication spliceContext uses.  By
- * construction the final result is bit-identical to the batch path
- * (scorer().score + decoder.decode over the whole utterance).
+ * A frame is spliced and parked as soon as its right DNN context
+ * exists, so the decoder lags the audio by contextFrames x 10 ms;
+ * flushPending() splices the tail with the same edge replication
+ * spliceContext uses.  The parked rows reach scoreBatch one of two
+ * ways:
+ *  - api::Engine's coordinator gathers every session's rows into
+ *    one cross-session batch (server::BatchScorer) and hands each
+ *    session its scores back:
+ *      pushAudio ... / flushPending -> exportPending -> (batched
+ *      forward) -> consumePendingScores -> finalizeFinish;
+ *  - an inline-scoring session scores its own rows with
+ *    scorePending() and finish(): the self-contained reference
+ *    decoder that tests and benchmarks compare served results
+ *    against.
+ * Row r of scoreBatch depends only on input row r (see
+ * acoustic/backend.hh), so both ways give the same bits, and the
+ * final result is bit-identical to the batch path (scorer().score +
+ * decoder.decode over the whole utterance).
  *
  * Sessions share one immutable pipeline::AsrModel (never mutated;
  * see model.hh for the thread-safety contract) and privately own all
@@ -35,7 +49,6 @@
 #include <string_view>
 #include <vector>
 
-#include "acoustic/backend.hh"
 #include "acoustic/matrix.hh"
 #include "common/rng.hh"
 #include "frontend/mfcc.hh"
@@ -103,21 +116,6 @@ struct SessionConfig : SessionKnobs
 {
     std::uint64_t id = 0;          //!< session id (stats, seeding)
     std::uint64_t baseSeed = 1;    //!< engine-wide base seed
-
-    /**
-     * Deferred scoring: instead of running the DNN inline per frame,
-     * the session parks spliced feature rows in a pending buffer for
-     * an external batch scorer (server::BatchScorer) that coalesces
-     * frames across sessions into one GEMM.  The driver loop becomes
-     *   pushAudio ... / flushPending -> exportPending -> (batched
-     *   forward) -> consumePendingScores -> finalizeFinish.
-     * Results are bit-identical to inline scoring on the float
-     * backends (row-wise forward; see acoustic/backend.hh).
-     * api::Engine always sets this; inline scoring (false) is the
-     * self-contained reference decoder tests and benchmarks compare
-     * served results against.
-     */
-    bool deferScoring = false;
 };
 
 /** A single streaming utterance decode over a shared model. */
@@ -128,26 +126,30 @@ class StreamingSession
                      const SessionConfig &cfg);
     ~StreamingSession();
 
-    /** Feed the next chunk of audio samples (any size, even empty). */
+    /**
+     * Feed the next chunk of audio samples (any size, even empty).
+     * Every frame whose right context is now complete is spliced
+     * into the pending rows; nothing is scored here.
+     */
     void pushAudio(std::span<const float> samples);
 
     /**
-     * Best word sequence so far (no epsilon closure) -- the partial
-     * hypothesis a live client would display while speaking.
+     * Best word sequence over the frames scored so far (no epsilon
+     * closure) -- the partial hypothesis a live client would display
+     * while speaking.
      */
     std::vector<wfst::WordId> partialWords() const;
 
     /**
-     * Close the utterance: flush buffered frames, epsilon-close,
-     * backtrack.  The session cannot accept audio afterwards.
-     * Inline-scoring (reference) sessions only; deferred sessions
-     * close via flushPending + consumePendingScores + finalizeFinish.
+     * Close the utterance of an inline-scoring session:
+     * flushPending(), scorePending(), finalizeFinish().  The session
+     * cannot accept audio afterwards.
      */
     pipeline::RecognitionResult finish();
 
-    // -- Deferred-scoring protocol (cfg.deferScoring only) ----------
+    // -- Pending rows -------------------------------------------------
 
-    /** Spliced frames waiting for the external batch scorer. */
+    /** Spliced frames waiting to be scored. */
     std::size_t pendingRows() const { return pendingRows_; }
 
     /** Width of one spliced row ((2*context+1) * feature dim). */
@@ -170,14 +172,24 @@ class StreamingSession
                               double acoustic_seconds);
 
     /**
-     * Deferred finish, step 1: no more audio; flush-splice the tail
-     * frames (edge replication) into the pending buffer.
+     * Score the pending rows through the model's backend and feed
+     * them to the search in order: what an inline-scoring session
+     * does in place of an external batch scorer.  Rows go to
+     * scoreBatch in slices of at most acoustic::kRowBlock, which
+     * make the same weight passes as one call over every row while
+     * holding the activations of one row block only.
+     */
+    void scorePending();
+
+    /**
+     * Close, step 1: no more audio; splice the tail frames (edge
+     * replication) into the pending rows.
      */
     void flushPending();
 
     /**
-     * Deferred finish, step 2 (requires pendingRows() == 0):
-     * epsilon-close, backtrack, return the final result.
+     * Close, step 2 (requires pendingRows() == 0): epsilon-close,
+     * backtrack, return the final result.
      */
     pipeline::RecognitionResult finalizeFinish();
 
@@ -190,14 +202,15 @@ class StreamingSession
     const SessionConfig &config() const { return cfg; }
 
   private:
-    /** Score+feed every frame whose context allows it. */
+    /** Park every frame whose context allows it. */
     void drainReadyFrames(bool flush);
 
-    /** Score raw feature frame @p f (with edge-clamped context). */
-    void scoreAndFeed(std::size_t f, std::size_t total_hint);
+    /** Splice frame @p f (edge-clamped context) onto the pending rows. */
+    void parkFrame(std::size_t f, std::size_t total_hint);
 
-    /** Splice frame @p f into splicedScratch (edge-clamped context). */
-    void spliceFrame(std::size_t f, std::size_t total_hint);
+    /** Feed rows [base, base + rows) of @p logp to the search in order. */
+    void feedScores(const acoustic::Matrix &logp, std::size_t base,
+                    std::size_t rows);
 
     /** Assemble the final RecognitionResult (streamFinish + stats). */
     pipeline::RecognitionResult finalizeResult();
@@ -224,20 +237,16 @@ class StreamingSession
      */
     std::deque<std::vector<float>> rawFeats;
     std::size_t rawBase = 0;
-    std::size_t scoredUpTo = 0;        //!< frames fed to the decoder
+    std::size_t parkedUpTo = 0;        //!< frames spliced so far
     std::uint64_t framesFed = 0;
     bool finished = false;
 
-    // Per-frame scratch, reused so steady-state scoring allocates
-    // nothing: the spliced context window, the likelihood row handed
-    // to the search, and the backend's activation buffers.
-    std::vector<float> splicedScratch;
+    /** The likelihood row handed to the search, reused per frame. */
     std::vector<float> likesScratch;
-    acoustic::FrameScratch frameScratch;
 
     /**
-     * Deferred mode: spliced rows (pendingRows_ x splicedDim, row
-     * major) waiting for the external batch scorer.
+     * Spliced rows (pendingRows_ x splicedDim, row major) waiting to
+     * be scored.
      */
     std::vector<float> pendingSpliced;
     std::size_t pendingRows_ = 0;

@@ -2,10 +2,9 @@
  * @file
  * Backend equivalence tests: the blocked float backend must reproduce
  * the reference bit-for-bit across shapes (including tile-tail
- * dimensions and context-splice edge frames), the streaming-frame
- * entry point must equal the corresponding batch row on every
- * backend, and the int8 backend must stay within bounded score error
- * of the float paths.
+ * dimensions and context-splice edge frames), a batch row must score
+ * the same bits as that row alone on every backend, and the int8
+ * backend must stay within bounded score error of the float paths.
  *
  * The dispatch has its own contracts: blocked is bit-identical to
  * the reference on its AVX-512, AVX2 and scalar kernels alike, and
@@ -14,6 +13,7 @@
  * exercised in one process via the test cap.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -176,20 +176,25 @@ INSTANTIATE_TEST_SUITE_P(
         return kernelName(info.param);
     });
 
-TEST(BackendEquivalence, ScoreFrameMatchesBatchRow)
+TEST(BackendEquivalence, BatchRowDependsOnlyOnItsInputRow)
 {
+    // The contract that lets sessions park rows and have them scored
+    // in any batch: row r of scoreBatch equals scoreBatch of row r
+    // alone, on every backend.
     const Dnn net = makeNet(21, {19, 11}, 9, 77);
     const Matrix input = randomInput(6, 21, 5);
     for (auto kind : {BackendKind::Reference, BackendKind::Blocked,
                       BackendKind::Int8}) {
         const auto backend = Backend::create(kind, net);
         const Matrix batch = backend->scoreBatch(input);
-        FrameScratch scratch;
-        std::vector<float> out(backend->outputDim());
         for (std::size_t r = 0; r < input.rows(); ++r) {
-            backend->scoreFrame(input.row(r), out, scratch);
-            for (std::size_t c = 0; c < out.size(); ++c)
-                ASSERT_EQ(out[c], batch.at(r, c))
+            Matrix row(1, input.cols());
+            std::copy(input.row(r).begin(), input.row(r).end(),
+                      row.row(0).begin());
+            const Matrix alone = backend->scoreBatch(row);
+            ASSERT_EQ(alone.cols(), batch.cols());
+            for (std::size_t c = 0; c < alone.cols(); ++c)
+                ASSERT_EQ(alone.at(0, c), batch.at(r, c))
                     << backendName(kind) << " row " << r << " col "
                     << c;
         }

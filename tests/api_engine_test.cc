@@ -1375,10 +1375,11 @@ TEST_F(ApiEngineTest, FrameClockWaitEndsOnSubmit)
 
 TEST_F(ApiEngineTest, NonFiniteOneShotAudioIsRefusedBeforeQueueing)
 {
-    // submit/recognize apply pushFor's rule to the whole utterance:
-    // the future holds std::invalid_argument, no session id is taken
-    // and no job is counted, and the next finite job decodes to the
-    // reference bits as session 0.
+    // submit/recognize apply pushFor's rule to the whole utterance,
+    // and refuse audio at another rate than the model's (8 kHz
+    // against 16 kHz here): the future holds std::invalid_argument,
+    // no session id is taken and no job is counted, and the next
+    // finite job decodes to the reference bits as session 0.
     const frontend::AudioSignal audio = testAudio(153, 10);
     const auto want = referenceDecode(audio);
     ASSERT_FALSE(want.words.empty());
@@ -1386,11 +1387,16 @@ TEST_F(ApiEngineTest, NonFiniteOneShotAudioIsRefusedBeforeQueueing)
     opts.numThreads = 2;
     Engine engine(*model, opts);
 
+    std::vector<frontend::AudioSignal> refused;
     for (const float hostile : {std::numeric_limits<float>::quiet_NaN(),
                                 std::numeric_limits<float>::infinity(),
                                 -std::numeric_limits<float>::infinity()}) {
-        frontend::AudioSignal bad = audio;
-        bad.samples[100] = hostile;
+        refused.push_back(audio);
+        refused.back().samples[100] = hostile;
+    }
+    refused.push_back(audio);
+    refused.back().sampleRate = audio.sampleRate / 2;
+    for (const frontend::AudioSignal &bad : refused) {
         auto future = engine.submit(bad);
         ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
                   std::future_status::ready);

@@ -19,17 +19,20 @@
  *    recoverable.
  *  - Robustness: a mid-utterance disconnect cancels the abandoned
  *    engine stream; malformed bytes, and a PUSH carrying a NaN
- *    sample, poison only their own connection; requests against
- *    unknown/duplicate streams answer machine-readable ERRORs; the
- *    server keeps serving fresh connections after each failure
- *    mode.
+ *    sample, poison only their own connection; a finish whose result
+ *    never arrives answers ERROR(Timeout) after finishTimeoutMs;
+ *    requests against unknown/duplicate streams answer
+ *    machine-readable ERRORs; the server keeps serving after each
+ *    failure mode.
  */
 
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <future>
 #include <limits>
+#include <mutex>
 #include <span>
 #include <string>
 #include <poll.h>
@@ -64,6 +67,62 @@ class QuietEnv : public ::testing::Environment
     ::testing::AddGlobalTestEnvironment(new QuietEnv);
 
 constexpr unsigned kPhonemes = 8;
+
+/**
+ * A wedged engine, seen from the front door: streams open and take
+ * audio, but finish() hands out futures whose promises the endpoint
+ * holds unresolved for as long as it lives.
+ */
+class StalledFinishEndpoint : public api::StreamEndpoint
+{
+  public:
+    api::StreamHandle
+    open(const api::StreamOptions &, api::OpenStatus &status) override
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        status = api::OpenStatus::Ok;
+        return api::StreamHandle{++opened};
+    }
+
+    api::PushResult
+    pushFor(api::StreamHandle, std::span<const float>,
+            std::chrono::nanoseconds) override
+    {
+        return api::PushResult::Ok;
+    }
+
+    std::vector<wfst::WordId>
+    partial(api::StreamHandle) const override
+    {
+        return {};
+    }
+
+    std::future<pipeline::RecognitionResult>
+    finish(api::StreamHandle) override
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        held.emplace_back();
+        return held.back().get_future();
+    }
+
+    bool cancel(api::StreamHandle) override { return false; }
+
+    api::StreamState
+    state(api::StreamHandle) const override
+    {
+        return api::StreamState::Finishing;
+    }
+
+    bool deadlineExpired(api::StreamHandle) const override { return false; }
+    void drain() override {}
+    server::EngineSnapshot stats() const override { return {}; }
+    float baseBeam() const override { return 14.0f; }
+
+  private:
+    std::mutex mu;
+    std::uint64_t opened = 0;
+    std::deque<std::promise<pipeline::RecognitionResult>> held;
+};
 
 /** Shared net + trained model for the whole suite. */
 class NetServerTest : public ::testing::Test
@@ -176,6 +235,36 @@ class NetServerTest : public ::testing::Test
                 errors.push_back(info.code);
             }
         }
+    }
+
+    /**
+     * Read the next whole frame from @p sock into @p frame.
+     * @return false when the server closes it or 10 s pass first
+     */
+    static bool
+    nextFrame(const net::Socket &sock, net::FrameReader &reader,
+              net::Frame &frame)
+    {
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::seconds(10);
+        while (!reader.next(frame)) {
+            const auto left =
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    deadline - std::chrono::steady_clock::now());
+            if (left.count() <= 0)
+                return false;
+            pollfd pfd{sock.fd(), POLLIN, 0};
+            if (::poll(&pfd, 1, int(left.count())) <= 0)
+                continue;
+            std::uint8_t buf[4096];
+            const ssize_t n = ::recv(sock.fd(), buf, sizeof(buf), 0);
+            if (n == 0)
+                return false;
+            if (n > 0)
+                reader.feed(std::span<const std::uint8_t>(
+                    buf, std::size_t(n)));
+        }
+        return true;
     }
 
     /** Spin until @p pred holds (counters are updated by the loop
@@ -537,6 +626,52 @@ TEST_F(NetServerTest, NonFinitePushIsABadFrame)
     const pipeline::RecognitionResult want = referenceDecode(audio);
     EXPECT_EQ(fin.words, want.words);
     EXPECT_EQ(fin.score, want.score);
+}
+
+TEST_F(NetServerTest, OverdueFinishAnswersTimeout)
+{
+    // A finish whose result never arrives must not pin its stream
+    // slot: finishTimeoutMs after the FINISH the server answers
+    // ERROR(Timeout), counts it, and the connection serves on.
+    StalledFinishEndpoint endpoint;
+    net::ServerOptions sopts;
+    sopts.finishTimeoutMs = 50;
+    net::Server server(endpoint, sopts);
+
+    std::string err;
+    net::Socket raw =
+        net::connectTcp("127.0.0.1", server.port(), err);
+    ASSERT_TRUE(raw.valid()) << err;
+    net::FrameReader reader;
+    net::Frame frame;
+    std::vector<std::uint8_t> wire;
+    net::appendFrame(wire, net::FrameType::Open, 1, {});
+    net::appendFrame(wire, net::FrameType::Finish, 1, {});
+    const auto sent = std::chrono::steady_clock::now();
+    ASSERT_TRUE(net::sendAll(raw.fd(), wire.data(), wire.size()));
+
+    // The OPEN is acknowledged with the empty first PARTIAL...
+    ASSERT_TRUE(nextFrame(raw, reader, frame));
+    EXPECT_EQ(frame.type, net::FrameType::RespPartial);
+    // ...and the FINISH, once overdue, with ERROR(Timeout).
+    ASSERT_TRUE(nextFrame(raw, reader, frame));
+    EXPECT_GE(std::chrono::steady_clock::now() - sent,
+              std::chrono::milliseconds(50));
+    ASSERT_EQ(frame.type, net::FrameType::RespError);
+    EXPECT_EQ(frame.streamId, 1u);
+    net::ErrorInfo info;
+    ASSERT_TRUE(net::decodeError(frame.payload, info));
+    EXPECT_EQ(info.code, net::ErrorCode::Timeout);
+    EXPECT_EQ(server.counters().finishTimeouts, 1u);
+
+    // The same connection still opens a new stream.
+    wire.clear();
+    net::appendFrame(wire, net::FrameType::Open, 2, {});
+    ASSERT_TRUE(net::sendAll(raw.fd(), wire.data(), wire.size()));
+    ASSERT_TRUE(nextFrame(raw, reader, frame));
+    EXPECT_EQ(frame.type, net::FrameType::RespPartial);
+    EXPECT_EQ(frame.streamId, 2u);
+    EXPECT_EQ(server.counters().streamsOpened, 2u);
 }
 
 TEST_F(NetServerTest, UnknownAndDuplicateStreamsAnswerErrors)

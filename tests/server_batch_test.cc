@@ -5,7 +5,7 @@
  * bit-identical to per-session inline scoring (an inline
  * StreamingSession, the reference decoder) for any thread count and
  * any batch-session cap -- with dither and with the accelerator
- * search backend too -- the deferred-session protocol must
+ * search backend too -- the batch-scoring protocol must
  * round-trip by hand, a batch split into row slabs must score the
  * same bits as the whole batch, and the engine must actually
  * coalesce frames (mean batch > 1 with many concurrent sessions).
@@ -256,19 +256,18 @@ TEST_F(ServerBatchTest, ZeroLengthAndTinyAudio)
 
 TEST_F(ServerBatchTest, DeferredProtocolRoundTripsByHand)
 {
-    // Drive one deferred session directly through the BatchScorer
-    // and check it against a plain inline session.
+    // Drive one session's parked rows through a BatchScorer by hand,
+    // as the engine's coordinator does, and check it against an
+    // inline-scoring session that scores its own rows.
     const frontend::AudioSignal audio = testAudio(42);
 
-    SessionConfig inlineCfg;
-    inlineCfg.id = 7;
-    StreamingSession inlineSession(*model, inlineCfg);
+    SessionConfig scfg;
+    scfg.id = 7;
+    StreamingSession inlineSession(*model, scfg);
     inlineSession.pushAudio(audio.samples);
     const auto want = inlineSession.finish();
 
-    SessionConfig deferCfg = inlineCfg;
-    deferCfg.deferScoring = true;
-    StreamingSession deferred(*model, deferCfg);
+    StreamingSession deferred(*model, scfg);
     BatchScorer scorer(*model);
     StreamingSession *sessions[] = {&deferred};
 
@@ -312,7 +311,6 @@ TEST_F(ServerBatchTest, RowSlabsAreBitIdentical)
         audios.push_back(testAudio(200 + k, 24));
         SessionConfig scfg;
         scfg.id = k;
-        scfg.deferScoring = true;
         owned.push_back(std::make_unique<StreamingSession>(*model, scfg));
         sessions.push_back(owned.back().get());
     }

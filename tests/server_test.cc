@@ -95,7 +95,10 @@ class ServerTest : public ::testing::Test
 wfst::Wfst *ServerTest::net = nullptr;
 pipeline::AsrModel *ServerTest::model = nullptr;
 
-/** Decode one signal through a session in chunks of @p chunk. */
+/**
+ * Decode one signal through a session in chunks of @p chunk, scoring
+ * the rows each chunk parks before the next push.
+ */
 pipeline::RecognitionResult
 decodeChunked(const pipeline::AsrModel &model, const SessionConfig &cfg,
               const frontend::AudioSignal &audio, std::size_t chunk)
@@ -105,6 +108,7 @@ decodeChunked(const pipeline::AsrModel &model, const SessionConfig &cfg,
     for (std::size_t base = 0; base < s.size(); base += chunk) {
         const std::size_t len = std::min(chunk, s.size() - base);
         session.pushAudio(std::span<const float>(s.data() + base, len));
+        session.scorePending();
     }
     return session.finish();
 }
@@ -113,10 +117,12 @@ decodeChunked(const pipeline::AsrModel &model, const SessionConfig &cfg,
 
 TEST_F(ServerTest, StreamingMatchesBatchPipelineExactly)
 {
-    // The streaming session (incremental MFCC, lagged per-frame DNN
-    // scoring, frame-synchronous search) must be bit-identical to
-    // the batch facade over the same model.
-    const frontend::AudioSignal audio = testAudio(7);
+    // The streaming session (incremental MFCC, lagged DNN scoring of
+    // the rows each push parks, frame-synchronous search) must be
+    // bit-identical to the batch facade over the same model.  24
+    // phones make about 70 frames, so the 2^20-sample push leaves
+    // scorePending three row-block slices, the last one partial.
+    const frontend::AudioSignal audio = testAudio(7, 24);
 
     const frontend::FeatureMatrix feats =
         model->mfcc().compute(audio);
@@ -253,6 +259,7 @@ TEST_F(ServerTest, PartialHypothesesAreMonotonicallyUsable)
     for (std::size_t base = 0; base < s.size(); base += 640) {
         const std::size_t len = std::min<std::size_t>(640, s.size() - base);
         session.pushAudio(std::span<const float>(s.data() + base, len));
+        session.scorePending();
         partials_seen += session.partialWords().empty() ? 0 : 1;
     }
     const auto r = session.finish();
