@@ -189,12 +189,6 @@ StreamingSession::finalizeFinish()
     ASR_ASSERT(finished, "finalizeFinish() before flushPending()");
     ASR_ASSERT(pendingRows_ == 0,
                "finalizeFinish() with unscored pending frames");
-    return finalizeResult();
-}
-
-pipeline::RecognitionResult
-StreamingSession::finalizeResult()
-{
     auto t0 = std::chrono::steady_clock::now();
     decoder::DecodeResult decoded = search_->streamFinish();
     searchSeconds += secondsSince(t0);

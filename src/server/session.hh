@@ -212,9 +212,6 @@ class StreamingSession
     void feedScores(const acoustic::Matrix &logp, std::size_t base,
                     std::size_t rows);
 
-    /** Assemble the final RecognitionResult (streamFinish + stats). */
-    pipeline::RecognitionResult finalizeResult();
-
     const pipeline::AsrModel &model;
     SessionConfig cfg;
     Rng rng_;
