@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's primitive
  * components: cache tag accesses, hash upserts, FIFO/ROB operations,
- * WFST arc iteration, FFT, DNN forward frames, and the software
+ * WFST arc iteration, the reference FFT and the planned power
+ * spectrum the MFCC runs, DNN forward frames, and the software
  * decoder itself.  These quantify the *simulation* substrate (host
  * performance), complementing the figure benches which measure the
  * *simulated* machine.
@@ -137,6 +138,26 @@ BM_Fft(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_Fft)->Arg(256)->Arg(512);
+
+/** The planned power spectrum Mfcc runs; BM_Fft times its reference. */
+void
+BM_PowerSpectrum(benchmark::State &state)
+{
+    const std::size_t n = std::size_t(state.range(0));
+    Rng rng(4);
+    std::vector<double> frame(n);
+    for (auto &x : frame)
+        x = rng.uniform();
+    const frontend::PowerSpectrum plan(n);
+    std::vector<double> power(plan.numBins());
+    for (auto _ : state) {
+        plan.compute(frame, power);
+        benchmark::DoNotOptimize(power.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_PowerSpectrum)->Arg(256)->Arg(512);
 
 void
 BM_DnnForwardFrame(benchmark::State &state)

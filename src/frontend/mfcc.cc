@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "frontend/fft.hh"
 
 namespace asr::frontend {
 
@@ -21,7 +20,7 @@ Mfcc::melToHz(double mel)
 }
 
 Mfcc::Mfcc(const MfccConfig &config)
-    : cfg(config)
+    : cfg(config), spectrum(config.fftSize)
 {
     ASR_ASSERT(cfg.sampleRate > 0, "sample rate must be positive");
     ASR_ASSERT(cfg.numCeps <= cfg.numFilters,
@@ -117,11 +116,10 @@ Mfcc::computeFrame(std::span<const float> samples, float prev) const
                "frame needs exactly %zu samples, got %zu", frameLen,
                samples.size());
 
-    // Pre-emphasis + windowing. The scratch buffer is thread-local so
-    // concurrent sessions sharing one const Mfcc stay race-free while
-    // skipping one of the per-frame allocations (powerSpectrum and the
-    // mel/ceps vectors below still allocate each call).
-    static thread_local std::vector<double> buf;
+    // Pre-emphasis + windowing.  The scratch buffers are
+    // thread-local, so concurrent sessions sharing one const Mfcc stay
+    // race-free while a frame allocates only the row it returns.
+    static thread_local std::vector<double> buf, power, mel;
     buf.resize(frameLen);
     for (std::size_t i = 0; i < frameLen; ++i) {
         const double cur = samples[i];
@@ -129,10 +127,11 @@ Mfcc::computeFrame(std::span<const float> samples, float prev) const
         buf[i] = (cur - cfg.preEmphasis * p) * window[i];
     }
 
-    const std::vector<double> power = powerSpectrum(buf, cfg.fftSize);
+    power.resize(spectrum.numBins());
+    spectrum.compute(buf, power);
 
     // Mel energies (log, floored to avoid -inf on silence).
-    std::vector<double> mel(cfg.numFilters);
+    mel.resize(cfg.numFilters);
     for (unsigned m = 0; m < cfg.numFilters; ++m) {
         double e = 0.0;
         for (const auto &[bin, w] : filters[m])
@@ -226,87 +225,6 @@ spliceContext(const FeatureMatrix &features, unsigned context)
             },
             out[f]);
     return out;
-}
-
-namespace {
-
-/** One delta pass: regression over a +-window neighbourhood. */
-FeatureMatrix
-deltaPass(const FeatureMatrix &in, unsigned window)
-{
-    const std::size_t frames = in.size();
-    const std::size_t dim = in.empty() ? 0 : in[0].size();
-    double denom = 0.0;
-    for (unsigned t = 1; t <= window; ++t)
-        denom += 2.0 * t * t;
-
-    FeatureMatrix out(frames, std::vector<float>(dim, 0.0f));
-    for (std::size_t f = 0; f < frames; ++f) {
-        for (unsigned t = 1; t <= window; ++t) {
-            const std::size_t lo = std::size_t(std::clamp<long>(
-                long(f) - t, 0, long(frames) - 1));
-            const std::size_t hi = std::size_t(std::clamp<long>(
-                long(f) + t, 0, long(frames) - 1));
-            for (std::size_t d = 0; d < dim; ++d)
-                out[f][d] += float(t) * (in[hi][d] - in[lo][d]);
-        }
-        for (std::size_t d = 0; d < dim; ++d)
-            out[f][d] = float(out[f][d] / denom);
-    }
-    return out;
-}
-
-} // namespace
-
-FeatureMatrix
-appendDeltas(const FeatureMatrix &features, unsigned window,
-             unsigned order)
-{
-    ASR_ASSERT(window >= 1, "delta window must be positive");
-    ASR_ASSERT(order >= 1 && order <= 2,
-               "only first and second order deltas are supported");
-    if (features.empty())
-        return {};
-
-    const FeatureMatrix d1 = deltaPass(features, window);
-    FeatureMatrix d2;
-    if (order == 2)
-        d2 = deltaPass(d1, window);
-
-    FeatureMatrix out;
-    out.reserve(features.size());
-    for (std::size_t f = 0; f < features.size(); ++f) {
-        std::vector<float> row = features[f];
-        row.insert(row.end(), d1[f].begin(), d1[f].end());
-        if (order == 2)
-            row.insert(row.end(), d2[f].begin(), d2[f].end());
-        out.push_back(std::move(row));
-    }
-    return out;
-}
-
-void
-normalizeFeatures(FeatureMatrix &features)
-{
-    if (features.empty())
-        return;
-    const std::size_t dim = features[0].size();
-    std::vector<double> mean(dim, 0.0), var(dim, 0.0);
-    for (const auto &row : features)
-        for (std::size_t d = 0; d < dim; ++d)
-            mean[d] += row[d];
-    for (std::size_t d = 0; d < dim; ++d)
-        mean[d] /= double(features.size());
-    for (const auto &row : features)
-        for (std::size_t d = 0; d < dim; ++d) {
-            const double x = row[d] - mean[d];
-            var[d] += x * x;
-        }
-    for (std::size_t d = 0; d < dim; ++d)
-        var[d] = std::sqrt(var[d] / double(features.size()) + 1e-8);
-    for (auto &row : features)
-        for (std::size_t d = 0; d < dim; ++d)
-            row[d] = float((row[d] - mean[d]) / var[d]);
 }
 
 } // namespace asr::frontend

@@ -4,7 +4,9 @@
  * paper: "the audio samples within a frame are converted into a
  * vector of features").  Classic pipeline: pre-emphasis, 25 ms
  * Hamming-windowed frames every 10 ms, power spectrum, triangular mel
- * filterbank, log, DCT-II.
+ * filterbank, log, DCT-II.  The power spectrum comes from a
+ * PowerSpectrum plan built with the Mfcc (fft.hh), so a frame
+ * allocates only its returned row.
  */
 
 #ifndef ASR_FRONTEND_MFCC_HH
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "frontend/audio.hh"
+#include "frontend/fft.hh"
 
 namespace asr::frontend {
 
@@ -36,7 +39,10 @@ struct MfccConfig
     double highFreqHz = 8000.0;    //!< clamped to Nyquist
 };
 
-/** MFCC extractor; construction precomputes window and filterbank. */
+/**
+ * MFCC extractor; construction precomputes the window, the FFT plan
+ * and the filterbank, and checks that fftSize is a power of two.
+ */
 class Mfcc
 {
   public:
@@ -78,6 +84,7 @@ class Mfcc
     std::vector<std::vector<std::pair<std::size_t, double>>> filters;
     /** DCT-II matrix, numCeps x numFilters, orthonormal. */
     std::vector<std::vector<double>> dct;
+    PowerSpectrum spectrum;  //!< the fftSize-point plan
 };
 
 /**
@@ -167,18 +174,6 @@ spliceWindowInto(std::size_t f, std::size_t total, unsigned context,
  */
 FeatureMatrix spliceContext(const FeatureMatrix &features,
                             unsigned context);
-
-/** Per-dimension mean/variance normalization, in place. */
-void normalizeFeatures(FeatureMatrix &features);
-
-/**
- * Append delta (and with @p order == 2 also delta-delta)
- * coefficients using the standard regression formula over a
- * +-@p window frame neighbourhood (edges replicate).  Rows grow to
- * dim * (order + 1) values.
- */
-FeatureMatrix appendDeltas(const FeatureMatrix &features,
-                           unsigned window = 2, unsigned order = 1);
 
 } // namespace asr::frontend
 

@@ -19,7 +19,7 @@ Client::connect(const std::string &host, std::uint16_t port)
     std::string err;
     sock = connectTcp(host, port, err);
     if (!sock.valid()) {
-        lastError_ = err;
+        setError(err);
         return false;
     }
     return true;
@@ -60,7 +60,7 @@ Client::connectRetrying(const std::string &host, std::uint16_t port,
         sock = connectTcp(host, port, err, &connect_errno);
         if (sock.valid())
             return true;
-        lastError_ = err;
+        setError(err);
         switch (connect_errno) {
         case ECONNREFUSED:
         case ETIMEDOUT:
@@ -99,13 +99,13 @@ Client::sendRequest(FrameType type, std::uint32_t stream_id,
                     std::span<const std::uint8_t> payload)
 {
     if (!sock.valid()) {
-        lastError_ = "not connected";
+        setError("not connected");
         return false;
     }
     std::vector<std::uint8_t> wire;
     appendFrame(wire, type, stream_id, payload);
     if (!sendAll(sock.fd(), wire.data(), wire.size())) {
-        lastError_ = std::string("send: ") + std::strerror(errno);
+        setError(std::string("send: ") + std::strerror(errno));
         disconnect();
         return false;
     }
@@ -161,7 +161,7 @@ Client::openStreamRetrying(std::uint32_t stream_id,
         }
         }
     }
-    lastError_ = "open retries exhausted";
+    setError("open retries exhausted");
     return false;
 }
 
@@ -194,7 +194,7 @@ Client::requestPartial(std::uint32_t stream_id, PartialResult &result)
     if (!waitFor(stream_id, {FrameType::RespPartial}, frame))
         return false;
     if (!decodePartial(frame.payload, result)) {
-        lastError_ = "undecodable PARTIAL payload";
+        setError("undecodable PARTIAL payload");
         return false;
     }
     return true;
@@ -215,12 +215,12 @@ Client::finishStream(std::uint32_t stream_id, FinalResult &result)
         std::uint32_t budget_ms = 0;
         decodeDeadlineExceeded(frame.payload, budget_ms);
         deadlineExceeded_ = true;
-        lastError_ = "deadline of " + std::to_string(budget_ms) +
-                     " ms exceeded";
+        setError("deadline of " + std::to_string(budget_ms) +
+                 " ms exceeded");
         return false;
     }
     if (!decodeFinal(frame.payload, result)) {
-        lastError_ = "undecodable FINAL payload";
+        setError("undecodable FINAL payload");
         return false;
     }
     return true;
@@ -244,7 +244,7 @@ Client::requestStats(StatsReply &reply)
     if (!waitFor(0, {FrameType::RespStats}, frame))
         return false;
     if (!decodeStatsReply(frame.payload, reply)) {
-        lastError_ = "undecodable STATS payload";
+        setError("undecodable STATS payload");
         return false;
     }
     return true;
@@ -254,6 +254,23 @@ Client::requestStats(StatsReply &reply)
 // Response plumbing.
 // ---------------------------------------------------------------------------
 
+void
+Client::setError(std::string message, std::optional<ErrorCode> code)
+{
+    lastError_ = std::move(message);
+    lastErrorCode_ = code;
+}
+
+void
+Client::setErrorFrom(const Frame &error_frame)
+{
+    ErrorInfo info;
+    if (decodeError(error_frame.payload, info))
+        setError(std::move(info.message), info.code);
+    else
+        setError("undecodable ERROR payload");
+}
+
 bool
 Client::readFrame(Frame &frame)
 {
@@ -261,8 +278,7 @@ Client::readFrame(Frame &frame)
         if (reader.next(frame))
             return true;
         if (reader.malformed()) {
-            lastError_ =
-                "malformed response: " + reader.error();
+            setError("malformed response: " + reader.error());
             disconnect();
             return false;
         }
@@ -284,9 +300,8 @@ Client::readFrame(Frame &frame)
         }
         if (n < 0 && errno == EINTR)
             continue;
-        lastError_ = n == 0 ? "server closed the connection"
-                            : std::string("recv: ") +
-                                  std::strerror(errno);
+        setError(n == 0 ? "server closed the connection"
+                        : std::string("recv: ") + std::strerror(errno));
         disconnect();
         return false;
     }
@@ -312,9 +327,7 @@ Client::waitFor(std::uint32_t stream_id,
         out = std::move(*it);
         stash.erase(it);
         if (out.type == FrameType::RespError) {
-            ErrorInfo info;
-            decodeError(out.payload, info);
-            lastError_ = info.message;
+            setErrorFrom(out);
             if (out_error)
                 *out_error = true;
             return false;
@@ -327,9 +340,7 @@ Client::waitFor(std::uint32_t stream_id,
             return false;
         const bool ours = frame.streamId == stream_id;
         if (ours && frame.type == FrameType::RespError) {
-            ErrorInfo info;
-            decodeError(frame.payload, info);
-            lastError_ = info.message;
+            setErrorFrom(frame);
             if (out_error) {
                 *out_error = true;
                 out = std::move(frame);

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <deque>
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -123,7 +124,26 @@ class Client
     /** Diagnostic for the last failure (ERROR payloads included). */
     const std::string &lastError() const { return lastError_; }
 
+    /**
+     * The code of the ERROR frame behind the last failure, so a
+     * caller can tell, say, Timeout from NotOpen without matching
+     * message text.  Empty when that failure carried no ERROR frame:
+     * connection loss, an undecodable payload, a deadline, retries
+     * exhausted.
+     */
+    std::optional<ErrorCode> lastErrorCode() const
+    {
+        return lastErrorCode_;
+    }
+
   private:
+    /** Record a failure: its diagnostic and its ERROR code, if any. */
+    void setError(std::string message,
+                  std::optional<ErrorCode> code = std::nullopt);
+
+    /** Record the failure an ERROR frame for this client reports. */
+    void setErrorFrom(const Frame &error_frame);
+
     bool sendRequest(FrameType type, std::uint32_t stream_id,
                      std::span<const std::uint8_t> payload);
 
@@ -149,6 +169,7 @@ class Client
     std::uint32_t retryAfterMs_ = 0;
     bool deadlineExceeded_ = false;
     std::string lastError_;
+    std::optional<ErrorCode> lastErrorCode_;
     std::uint64_t rngState = 0;  //!< lazily seeded backoff jitter
 };
 

@@ -36,7 +36,9 @@ TEST(BuildSanity, CommonLogging)
 TEST(BuildSanity, FrontendFft)
 {
     const std::vector<double> frame(8, 1.0);
-    const auto spectrum = asr::frontend::powerSpectrum(frame, 8);
+    const asr::frontend::PowerSpectrum plan(8);
+    std::vector<double> spectrum(plan.numBins());
+    plan.compute(frame, spectrum);
     ASSERT_EQ(spectrum.size(), 5u);
     EXPECT_NEAR(spectrum[0], 64.0, 1e-9);
 }

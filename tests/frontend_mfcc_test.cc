@@ -137,48 +137,6 @@ TEST(SpliceContext, ShapeAndEdgeReplication)
     EXPECT_FLOAT_EQ(s[2][4], 3.0f);
 }
 
-TEST(AppendDeltas, ShapeAndOrder)
-{
-    FeatureMatrix f = {{1.0f}, {2.0f}, {3.0f}, {4.0f}};
-    const FeatureMatrix d1 = appendDeltas(f, 2, 1);
-    ASSERT_EQ(d1.size(), 4u);
-    ASSERT_EQ(d1[0].size(), 2u);  // base + delta
-    const FeatureMatrix d2 = appendDeltas(f, 2, 2);
-    ASSERT_EQ(d2[0].size(), 3u);  // base + delta + delta-delta
-    // Base coefficients are preserved verbatim.
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_FLOAT_EQ(d2[i][0], f[i][0]);
-}
-
-TEST(AppendDeltas, LinearRampHasConstantDelta)
-{
-    // For x_t = t the regression delta equals the slope (1.0) at
-    // interior frames.
-    FeatureMatrix f;
-    for (int t = 0; t < 20; ++t)
-        f.push_back({float(t)});
-    const FeatureMatrix d = appendDeltas(f, 2, 2);
-    for (std::size_t t = 4; t < 16; ++t) {
-        EXPECT_NEAR(d[t][1], 1.0f, 1e-5) << "frame " << t;
-        EXPECT_NEAR(d[t][2], 0.0f, 1e-5) << "frame " << t;
-    }
-}
-
-TEST(AppendDeltas, ConstantSignalHasZeroDelta)
-{
-    FeatureMatrix f(10, std::vector<float>{5.0f, -3.0f});
-    const FeatureMatrix d = appendDeltas(f, 2, 1);
-    for (const auto &row : d) {
-        EXPECT_FLOAT_EQ(row[2], 0.0f);
-        EXPECT_FLOAT_EQ(row[3], 0.0f);
-    }
-}
-
-TEST(AppendDeltas, EmptyInput)
-{
-    EXPECT_TRUE(appendDeltas(FeatureMatrix{}, 2, 2).empty());
-}
-
 TEST(StreamingMfcc, BitIdenticalToBatchAcrossChunkSizes)
 {
     Synthesizer synth(8);
@@ -303,19 +261,10 @@ TEST(Mfcc, ComputeFrameMatchesBatchRows)
     }
 }
 
-TEST(NormalizeFeatures, ZeroMeanUnitVariance)
+
+TEST(MfccDeath, NonPowerOfTwoFftSizeFailsAtConstruction)
 {
-    FeatureMatrix f;
-    for (int i = 0; i < 100; ++i)
-        f.push_back({float(i), float(2 * i + 5)});
-    normalizeFeatures(f);
-    double mean0 = 0.0, var0 = 0.0;
-    for (const auto &row : f)
-        mean0 += row[0];
-    mean0 /= 100.0;
-    for (const auto &row : f)
-        var0 += (row[0] - mean0) * (row[0] - mean0);
-    var0 /= 100.0;
-    EXPECT_NEAR(mean0, 0.0, 1e-4);
-    EXPECT_NEAR(var0, 1.0, 1e-2);
+    MfccConfig cfg;
+    cfg.fftSize = 500;
+    EXPECT_DEATH(Mfcc{cfg}, "power of two");
 }

@@ -687,11 +687,13 @@ TEST_F(NetServerTest, UnknownAndDuplicateStreamsAnswerErrors)
     net::FinalResult fin;
     EXPECT_FALSE(client.finishStream(9, fin));
     EXPECT_FALSE(client.lastError().empty());
+    EXPECT_EQ(client.lastErrorCode(), net::ErrorCode::UnknownStream);
 
     // The connection survived the ERROR: open and double-open.
     ASSERT_EQ(client.openStream(1), net::Client::OpenOutcome::Ok);
     EXPECT_EQ(client.openStream(1),
               net::Client::OpenOutcome::Error);
+    EXPECT_EQ(client.lastErrorCode(), net::ErrorCode::DuplicateStream);
 
     // And the original stream still works end to end.
     pushAll(client, 1, testAudio(61), 1024);

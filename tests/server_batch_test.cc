@@ -179,9 +179,9 @@ TEST_F(ServerBatchTest, ThreadCountDoesNotChangeBatchModeResults)
 {
     // Dither draws from each session's private RNG, so this also
     // proves the stream is keyed on (base seed, session id) only.
-    // Utterances of 24 phones keep the 32-slot ticks above one row
-    // block on average, so with 2 or 4 threads those runs score
-    // their ticks as row slabs.
+    // Utterances of 24 phones give the 32-slot runs ticks above one
+    // row block, so with 2 or 4 threads those runs score such ticks
+    // as row slabs.
     const auto audios = corpus(8, 24);
     EngineOptions cfg;
     cfg.baseSeed = 3;
@@ -197,8 +197,12 @@ TEST_F(ServerBatchTest, ThreadCountDoesNotChangeBatchModeResults)
             EngineSnapshot snap;
             expectIdentical(want, runEngine(cfg, audios, &snap));
             if (slots == 32) {
-                EXPECT_GT(snap.dnnMeanBatchRows(),
-                          double(acoustic::kRowBlock));
+                // How short the ticks run while the jobs are still
+                // being submitted depends on scheduling, so bound the
+                // largest tick, not the mean.
+                EXPECT_GT(snap.dnnMaxBatchRows,
+                          double(acoustic::kRowBlock))
+                    << snap.render();
             }
         }
     }
