@@ -3,8 +3,8 @@
  * google-benchmark microbenchmarks of the simulator's primitive
  * components: cache tag accesses, hash upserts, FIFO/ROB operations,
  * WFST arc iteration, the reference FFT and the planned power
- * spectrum the MFCC runs, DNN forward frames, and the software
- * decoder itself.  These quantify the *simulation* substrate (host
+ * spectrum the MFCC runs, DNN forward frames and training steps, and
+ * the software decoder itself.  These quantify the *simulation* substrate (host
  * performance), complementing the figure benches which measure the
  * *simulated* machine.
  */
@@ -177,6 +177,31 @@ BM_DnnForwardFrame(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DnnForwardFrame);
+
+/**
+ * One SGD step on 64 frames at the batch benchmark's model shape,
+ * 65 -> 1600 -> 1600 -> 12: the unit AsrModel's training repeats.
+ */
+void
+BM_DnnTrainStep(benchmark::State &state)
+{
+    acoustic::DnnConfig cfg;
+    cfg.inputDim = 65;
+    cfg.hidden = {1600, 1600};
+    cfg.outputDim = 12;
+    acoustic::Dnn net(cfg);
+    Rng rng(6);
+    acoustic::Matrix x(64, cfg.inputDim);
+    for (float &v : x.data())
+        v = float(rng.uniform(-1.0, 1.0));
+    std::vector<std::uint32_t> labels(x.rows());
+    for (auto &label : labels)
+        label = std::uint32_t(rng.below(cfg.outputDim));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(net.trainStep(x, labels));
+    state.SetItemsProcessed(state.iterations() * x.rows());  // frames
+}
+BENCHMARK(BM_DnnTrainStep)->Unit(benchmark::kMillisecond);
 
 void
 BM_SoftwareDecoderFrame(benchmark::State &state)

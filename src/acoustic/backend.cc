@@ -60,7 +60,7 @@ parameterBytes(const Dnn &dnn, std::size_t bytes_per_weight,
 }
 
 // ---------------------------------------------------------------------------
-// Reference backend: the training-time matmulTransposed path.
+// Reference backend: Dnn::forward's naive matmulTransposed loops.
 // ---------------------------------------------------------------------------
 
 class ReferenceBackend final : public Backend
@@ -126,6 +126,22 @@ struct PackedLayer
     std::vector<float> bias;    //!< out
 };
 
+/**
+ * Rows [j0, j0 + jn) of @p weights (out x in), transposed into the
+ * in x kTile panel @p panel; lanes from jn on are left as they are.
+ */
+void
+packPanelTransposed(const Matrix &weights, std::size_t j0,
+                    std::size_t jn, float *panel)
+{
+    const std::size_t in = weights.cols();
+    for (std::size_t t = 0; t < jn; ++t) {
+        const auto wrow = weights.row(j0 + t);
+        for (std::size_t k = 0; k < in; ++k)
+            panel[k * kTile + t] = wrow[k];
+    }
+}
+
 PackedLayer
 packLayer(const Matrix &weights, std::span<const float> bias)
 {
@@ -135,12 +151,10 @@ packLayer(const Matrix &weights, std::span<const float> bias)
     layer.tiles = (layer.out + kTile - 1) / kTile;
     layer.packed.assign(layer.tiles * layer.in * kTile, 0.0f);
     layer.bias.assign(bias.begin(), bias.end());
-    for (std::size_t j = 0; j < layer.out; ++j) {
-        const auto wrow = weights.row(j);
-        const std::size_t tile = j / kTile, lane = j % kTile;
-        float *panel = layer.packed.data() + tile * layer.in * kTile;
-        for (std::size_t k = 0; k < layer.in; ++k)
-            panel[k * kTile + lane] = wrow[k];
+    for (std::size_t tile = 0; tile < layer.tiles; ++tile) {
+        const std::size_t j0 = tile * kTile;
+        packPanelTransposed(weights, j0, std::min(kTile, layer.out - j0),
+                            layer.packed.data() + tile * layer.in * kTile);
     }
     return layer;
 }
@@ -759,6 +773,42 @@ Backend::create(BackendKind kind, const Dnn &dnn)
         return std::make_unique<Int8Backend>(dnn);
     }
     panic("unknown backend kind %d", int(kind));
+}
+
+Matrix
+blockedGemm(const Matrix &a, const Matrix &b, GemmRhs rhs,
+            std::span<const float> bias)
+{
+    const bool transposed = rhs == GemmRhs::Transposed;
+    const std::size_t m = a.rows(), in = a.cols();
+    const std::size_t n = transposed ? b.rows() : b.cols();
+    ASR_ASSERT((transposed ? b.cols() : b.rows()) == in,
+               "blockedGemm shape mismatch");
+    ASR_ASSERT(bias.empty() || bias.size() == n,
+               "blockedGemm bias size mismatch");
+    // The kernels always add a bias.  Adding +0 changes no sum: an
+    // accumulator that starts at +0 can never become -0.
+    const std::vector<float> zeros(bias.empty() ? n : 0, 0.0f);
+    const float *bd = bias.empty() ? zeros.data() : bias.data();
+    const PanelKernel kernel = pickPanelKernel().run;
+
+    Matrix y(m, n);
+    std::vector<float> panel(in * kTile, 0.0f);
+    for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
+        const std::size_t jn = std::min(kTile, n - j0);
+        if (jn < kTile)  // the last panel: clear the previous one's lanes
+            std::fill(panel.begin(), panel.end(), 0.0f);
+        if (transposed) {
+            packPanelTransposed(b, j0, jn, panel.data());
+        } else {
+            for (std::size_t k = 0; k < in; ++k)
+                std::copy_n(b.row(k).data() + j0, jn,
+                            panel.data() + k * kTile);
+        }
+        kernel(a.data().data(), in, panel.data(), bd, j0, jn,
+               y.data().data(), n, 0, m);
+    }
+    return y;
 }
 
 } // namespace asr::acoustic

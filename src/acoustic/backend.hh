@@ -13,8 +13,8 @@
  *
  * Three implementations, each with one kernel dispatch decided at
  * construction (common/cpuinfo.hh; isa() reports the choice):
- *  - Reference: the naive matmulTransposed path the DNN trains with;
- *    the correctness oracle every other backend is measured against.
+ *  - Reference: Dnn::forward, the naive matmulTransposed loops; the
+ *    correctness oracle every other backend is measured against.
  *  - Blocked:   the same arithmetic over weights repacked at
  *    construction into SIMD-friendly column tiles, row-blocked for
  *    cache reuse.  On an AVX-512F host a register-blocked kernel
@@ -24,7 +24,8 @@
  *    keep a separate multiply and add per step; elsewhere a
  *    compiler-vectorized scalar loop runs.  Bit-identical to
  *    Reference on all three kernels (see below) and the default in
- *    pipeline::AsrModel.
+ *    pipeline::AsrModel.  Its panel kernel also trains the DNN
+ *    (blockedGemm below).
  *  - Int8:      per-output-channel symmetric weight quantization
  *    with dynamic per-frame activation quantization; 4x smaller
  *    weight traffic (the gpu:: analytical models read the byte
@@ -56,6 +57,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 
 #include "acoustic/dnn.hh"
@@ -66,7 +68,7 @@ namespace asr::acoustic {
 /** The available scoring implementations. */
 enum class BackendKind
 {
-    Reference,  //!< naive float GEMM (the training-time path)
+    Reference,  //!< naive float GEMM (Dnn::forward)
     Blocked,    //!< packed-tile float GEMM, exact AVX-512/AVX2/scalar
     Int8,       //!< int8 weight-quantized GEMM, AVX2 or scalar kernel
 };
@@ -82,6 +84,30 @@ std::string_view backendName(BackendKind kind);
  * uncut batch (server::BatchScorer's row slabs rely on this).
  */
 constexpr std::size_t kRowBlock = 32;
+
+/** How blockedGemm reads its right-hand operand @p b. */
+enum class GemmRhs
+{
+    AsStored,    //!< b is k x n: y = a * b
+    Transposed,  //!< b is n x k, as a layer's weights: y = a * b^T
+};
+
+/**
+ * y = a * op(b) + bias on the blocked backend's panel kernel, with
+ * the bit-identity contract's arithmetic for every output element:
+ * one f32 accumulator from +0 over k ascending, a rounded multiply
+ * then a separate rounded add, and the bias (+0 when @p bias is
+ * empty) added after the full sum.  Dnn's training runs every product
+ * through this.
+ *
+ * Unlike Blocked's scoreBatch, it repacks op(b) on every call, one
+ * 32-column panel at a time into a single reused k x 32 buffer, so it
+ * never holds a copy of @p b.  The kernel is resolved per call
+ * through the same predicates (common/cpuinfo.hh), so every kernel
+ * gives the same bits.
+ */
+Matrix blockedGemm(const Matrix &a, const Matrix &b, GemmRhs rhs,
+                   std::span<const float> bias = {});
 
 /** Abstract scorer over a trained Dnn's parameters. */
 class Backend

@@ -2,10 +2,26 @@
 
 #include <cmath>
 
+#include "acoustic/backend.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
 namespace asr::acoustic {
+
+namespace {
+
+/** @p m transposed. */
+Matrix
+transposed(const Matrix &m)
+{
+    Matrix t(m.cols(), m.rows());
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        for (std::size_t c = 0; c < m.cols(); ++c)
+            t.at(c, r) = m.at(r, c);
+    return t;
+}
+
+} // namespace
 
 Dnn::Dnn(const DnnConfig &config)
     : cfg(config)
@@ -33,51 +49,57 @@ Dnn::Dnn(const DnnConfig &config)
 }
 
 Matrix
-Dnn::forwardKeep(const Matrix &input,
-                 std::vector<Matrix> &activations) const
+Dnn::forward(const Matrix &input) const
 {
     ASR_ASSERT(input.cols() == cfg.inputDim,
                "DNN input dim %zu != %zu", input.cols(), cfg.inputDim);
-    activations.clear();
-    activations.push_back(input);
-    Matrix x = input;
-    for (std::size_t l = 0; l < layers.size(); ++l) {
+    Matrix x = matmulTransposed(input, layers[0].weights);
+    addRowBias(x, layers[0].bias);
+    for (std::size_t l = 1; l < layers.size(); ++l) {
+        reluInPlace(x);
         x = matmulTransposed(x, layers[l].weights);
         addRowBias(x, layers[l].bias);
-        if (l + 1 < layers.size())
-            reluInPlace(x);
-        activations.push_back(x);
     }
-    return x;  // logits
+    logSoftmaxRows(x);
+    return x;
 }
 
 Matrix
-Dnn::forward(const Matrix &input) const
+Dnn::logits(const Matrix &input, std::vector<Matrix> *hidden) const
 {
-    std::vector<Matrix> scratch;
-    Matrix logits = forwardKeep(input, scratch);
-    logSoftmaxRows(logits);
-    return logits;
+    ASR_ASSERT(input.cols() == cfg.inputDim,
+               "DNN input dim %zu != %zu", input.cols(), cfg.inputDim);
+    Matrix x = blockedGemm(input, layers[0].weights, GemmRhs::Transposed,
+                           layers[0].bias);
+    for (std::size_t l = 1; l < layers.size(); ++l) {
+        reluInPlace(x);
+        Matrix y = blockedGemm(x, layers[l].weights, GemmRhs::Transposed,
+                               layers[l].bias);
+        if (hidden)
+            hidden->push_back(std::move(x));
+        x = std::move(y);
+    }
+    return x;
 }
 
 float
 Dnn::trainStep(const Matrix &input,
                const std::vector<std::uint32_t> &labels)
 {
+    ASR_ASSERT(input.rows() > 0, "empty training batch");
     ASR_ASSERT(labels.size() == input.rows(),
                "one label per input row required");
 
-    std::vector<Matrix> acts;  // acts[0] = input, acts[l+1] = layer l out
-    Matrix logits = forwardKeep(input, acts);
+    std::vector<Matrix> hidden;
+    Matrix logp = logits(input, &hidden);
+    logSoftmaxRows(logp);
 
     // Softmax + cross-entropy gradient: p - onehot.
-    Matrix logp = logits;
-    logSoftmaxRows(logp);
     const float batch = float(input.rows());
     float loss = 0.0f;
-    Matrix grad(logits.rows(), logits.cols());
-    for (std::size_t r = 0; r < logits.rows(); ++r) {
-        ASR_ASSERT(labels[r] < logits.cols(), "label out of range");
+    Matrix grad(logp.rows(), logp.cols());
+    for (std::size_t r = 0; r < logp.rows(); ++r) {
+        ASR_ASSERT(labels[r] < logp.cols(), "label out of range");
         loss -= logp.at(r, labels[r]);
         auto grow = grad.row(r);
         const auto lrow = logp.row(r);
@@ -90,32 +112,21 @@ Dnn::trainStep(const Matrix &input,
     // Backprop through the layers.
     for (std::size_t li = layers.size(); li-- > 0;) {
         Layer &layer = layers[li];
-        const Matrix &in = acts[li];
+        const Matrix &in = li > 0 ? hidden[li - 1] : input;
 
-        // Gradient wrt the (transposed) weights: grad^T * in.
-        Matrix dw(layer.weights.rows(), layer.weights.cols());
-        for (std::size_t r = 0; r < grad.rows(); ++r) {
-            const auto grow = grad.row(r);
-            const auto irow = in.row(r);
-            for (std::size_t o = 0; o < dw.rows(); ++o) {
-                const float g = grow[o];
-                if (g == 0.0f)
-                    continue;
-                auto wrow = dw.row(o);
-                for (std::size_t k = 0; k < irow.size(); ++k)
-                    wrow[k] += g * irow[k];
-            }
-        }
+        // Gradient wrt the (transposed) weights: grad^T * in, each
+        // element summed over the batch rows in order.
+        const Matrix dw =
+            blockedGemm(transposed(grad), in, GemmRhs::AsStored);
 
         // Gradient wrt the input of this layer (for the next step).
         Matrix din;
         if (li > 0) {
-            din = matmul(grad, layer.weights);
+            din = blockedGemm(grad, layer.weights, GemmRhs::AsStored);
             // ReLU derivative of the producing layer's output.
-            const Matrix &pre = acts[li];
             for (std::size_t r = 0; r < din.rows(); ++r) {
                 auto drow = din.row(r);
-                const auto prow = pre.row(r);
+                const auto prow = in.row(r);
                 for (std::size_t c = 0; c < drow.size(); ++c)
                     if (prow[c] <= 0.0f)
                         drow[c] = 0.0f;
@@ -141,7 +152,10 @@ float
 Dnn::accuracy(const Matrix &input,
               const std::vector<std::uint32_t> &labels) const
 {
-    Matrix logp = forward(input);
+    ASR_ASSERT(labels.size() == input.rows(),
+               "one label per input row required");
+    Matrix logp = logits(input, nullptr);
+    logSoftmaxRows(logp);
     std::size_t correct = 0;
     for (std::size_t r = 0; r < logp.rows(); ++r) {
         const auto row = logp.row(r);

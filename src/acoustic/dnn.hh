@@ -38,22 +38,32 @@ class Dnn
     explicit Dnn(const DnnConfig &config);
 
     /**
-     * Forward pass.
+     * Forward pass on the naive reference loops (matmulTransposed,
+     * addRowBias): the Reference backend, the oracle the other
+     * backends are checked against.
      * @param input batch x inputDim
      * @return batch x outputDim log-softmax scores
      */
     Matrix forward(const Matrix &input) const;
 
     /**
-     * One mini-batch SGD step with cross-entropy loss.
-     * @param input  batch x inputDim
+     * One mini-batch SGD step with cross-entropy loss.  The forward
+     * pass and both gradient products run on the blocked backend's
+     * panel kernel (acoustic::blockedGemm) with the reference's
+     * per-element arithmetic, so the weights come out the same on
+     * every SIMD kernel.
+     * @param input  batch x inputDim, at least one row
      * @param labels target class per row
      * @return mean cross-entropy loss of the batch (before update)
      */
     float trainStep(const Matrix &input,
                     const std::vector<std::uint32_t> &labels);
 
-    /** Fraction of rows whose argmax matches @p labels. */
+    /**
+     * Fraction of rows whose argmax matches @p labels (one label per
+     * row), scored through the same kernel as trainStep; the
+     * log-probabilities are forward()'s bits.
+     */
     float accuracy(const Matrix &input,
                    const std::vector<std::uint32_t> &labels) const;
 
@@ -94,9 +104,12 @@ class Dnn
         std::vector<float> bias;  //!< out
     };
 
-    /** Forward keeping pre-activations for backprop. */
-    Matrix forwardKeep(const Matrix &input,
-                       std::vector<Matrix> &activations) const;
+    /**
+     * Pre-softmax outputs through acoustic::blockedGemm.  When
+     * @p hidden is given, it receives each hidden layer's ReLU output
+     * (hidden[l] feeds layer l + 1) for backprop.
+     */
+    Matrix logits(const Matrix &input, std::vector<Matrix> *hidden) const;
 
     DnnConfig cfg;
     std::vector<Layer> layers;

@@ -9,30 +9,6 @@
 namespace asr::acoustic {
 
 Matrix
-matmul(const Matrix &a, const Matrix &b)
-{
-    ASR_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
-    Matrix out(a.rows(), b.cols());
-    const std::size_t m = a.rows(), kk = a.cols(), n = b.cols();
-    const float *ASR_RESTRICT ad = a.data().data();
-    const float *ASR_RESTRICT bd = b.data().data();
-    float *ASR_RESTRICT od = out.data().data();
-    for (std::size_t i = 0; i < m; ++i) {
-        const float *ASR_RESTRICT arow = ad + i * kk;
-        float *ASR_RESTRICT orow = od + i * n;
-        for (std::size_t k = 0; k < kk; ++k) {
-            const float av = arow[k];
-            if (av == 0.0f)
-                continue;
-            const float *ASR_RESTRICT brow = bd + k * n;
-            for (std::size_t j = 0; j < n; ++j)
-                orow[j] += av * brow[j];
-        }
-    }
-    return out;
-}
-
-Matrix
 matmulTransposed(const Matrix &a, const Matrix &bt)
 {
     ASR_ASSERT(a.cols() == bt.cols(), "matmulT shape mismatch");

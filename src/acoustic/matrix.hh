@@ -54,9 +54,6 @@ class Matrix
     std::vector<float> data_;
 };
 
-/** out = a * b  (a: m x k, b: k x n). */
-Matrix matmul(const Matrix &a, const Matrix &b);
-
 /** out = a * b^T  (a: m x k, b: n x k); cache-friendly for layers. */
 Matrix matmulTransposed(const Matrix &a, const Matrix &bt);
 

@@ -1,5 +1,7 @@
 #include "pipeline/model.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -71,7 +73,8 @@ AsrModel::trainAcousticModel()
     for (std::size_t i = 0; i < n; ++i)
         order[i] = i;
 
-    const std::size_t batch = 64;
+    // A set smaller than one batch trains as one whole-set batch.
+    const std::size_t batch = std::min<std::size_t>(64, n);
     for (unsigned epoch = 0; epoch < cfg.trainEpochs; ++epoch) {
         // Fisher-Yates with the deterministic RNG.
         for (std::size_t i = n; i > 1; --i)

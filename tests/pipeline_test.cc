@@ -6,6 +6,8 @@
  * trained from an AsrSystemConfig.
  */
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "acoustic/scorer.hh"
@@ -14,6 +16,7 @@
 #include "decoder/wer.hh"
 #include "pipeline/calibrate.hh"
 #include "pipeline/corpus.hh"
+#include "pipeline/model.hh"
 #include "pipeline/system.hh"
 #include "wfst/generate.hh"
 
@@ -270,4 +273,33 @@ TEST(AsrSystem, SoftwareBackendAgrees)
     const auto r_sw = sw.recognize(audio);
     EXPECT_EQ(r_hw.words, r_sw.words);
     EXPECT_NEAR(r_hw.score, r_sw.score, 1e-3f);
+}
+
+TEST(AsrSystem, TrainingSetSmallerThanOneBatchTrains)
+{
+    // 4 phonemes x 5 utterances give 60 frames, fewer than one
+    // 64-frame mini-batch: they train as one batch of the whole set.
+    const wfst::Wfst net = makeNet(100, 4, 3);
+    AsrSystemConfig cfg;
+    cfg.numPhonemes = 4;
+    cfg.hiddenLayers = {32};
+    cfg.trainUtterPerPhoneme = 5;
+    cfg.trainEpochs = 10;
+    cfg.seed = 7;
+    const AsrModel trained(net, cfg);
+    cfg.trainEpochs = 0;
+    const AsrModel untrained(net, cfg);
+
+    const acoustic::Dnn &a = trained.dnn(), &b = untrained.dnn();
+    ASSERT_EQ(a.numLayers(), b.numLayers());
+    bool moved = false;
+    for (std::size_t l = 0; l < a.numLayers(); ++l) {
+        const auto &wa = a.layerWeights(l).data();
+        const auto &wb = b.layerWeights(l).data();
+        moved = moved || std::memcmp(wa.data(), wb.data(),
+                                     wa.size() * sizeof(float)) != 0;
+    }
+    EXPECT_TRUE(moved) << "no SGD step ran";
+    // Chance is 1 / 4.
+    EXPECT_GT(trained.acousticModelAccuracy(), 0.5f);
 }
