@@ -49,7 +49,7 @@ standardWorkload()
     static const std::unique_ptr<Workload> cached = [] {
         std::fprintf(stderr,
                      "[bench] building standard workload "
-                     "(one-time, ~half a minute)...\n");
+                     "(one-time, ~2 s)...\n");
         auto w = std::make_unique<Workload>(
             buildWorkload(WorkloadScale{}));
         std::fprintf(stderr,

@@ -1,8 +1,6 @@
 #include "acoustic/backend.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -14,7 +12,7 @@
 // attributes (no global -mavx2 or -mavx512f), so the same binary
 // carries every code path and cpu::hasAvx512() / cpu::hasAvx2() pick
 // one at backend construction.  Non-x86 builds compile only the
-// scalar paths; "blocked" and "int8" simply always run scalar there.
+// scalar path; "blocked" simply always runs scalar there.
 //
 // The acoustic library is compiled with -ffp-contract=off (see its
 // CMakeLists.txt): the "avx512f" target implies FMA, and GCC would
@@ -37,27 +35,11 @@ backendName(BackendKind kind)
     switch (kind) {
       case BackendKind::Reference: return "reference";
       case BackendKind::Blocked:   return "blocked";
-      case BackendKind::Int8:      return "int8";
     }
     panic("unknown backend kind %d", int(kind));
 }
 
 namespace {
-
-/** Total weight + bias bytes of the trained net at @p bytes_per_weight. */
-std::uint64_t
-parameterBytes(const Dnn &dnn, std::size_t bytes_per_weight,
-               std::size_t extra_per_channel_floats)
-{
-    std::uint64_t bytes = 0;
-    for (std::size_t l = 0; l < dnn.numLayers(); ++l) {
-        const Matrix &w = dnn.layerWeights(l);
-        bytes += std::uint64_t(w.rows()) * w.cols() * bytes_per_weight;
-        bytes += std::uint64_t(w.rows()) *
-                 (1 + extra_per_channel_floats) * sizeof(float);
-    }
-    return bytes;
-}
 
 // ---------------------------------------------------------------------------
 // Reference backend: Dnn::forward's naive matmulTransposed loops.
@@ -68,13 +50,11 @@ class ReferenceBackend final : public Backend
   public:
     explicit ReferenceBackend(const Dnn &dnn)
         : Backend(dnn.config().inputDim, dnn.config().outputDim),
-          net(dnn), macs(dnn.macsPerFrame()),
-          weightBytes(parameterBytes(dnn, sizeof(float), 0))
+          net(dnn)
     {
     }
 
     BackendKind kind() const override { return BackendKind::Reference; }
-    bool bitIdenticalToReference() const override { return true; }
 
     Matrix
     scoreBatch(const Matrix &input) const override
@@ -82,17 +62,8 @@ class ReferenceBackend final : public Backend
         return net.forward(input);
     }
 
-    std::uint64_t macsPerFrame() const override { return macs; }
-    std::uint64_t
-    weightBytesPerFrame() const override
-    {
-        return weightBytes;
-    }
-
   private:
     const Dnn &net;
-    std::uint64_t macs;
-    std::uint64_t weightBytes;
 };
 
 // ---------------------------------------------------------------------------
@@ -398,7 +369,7 @@ gemmPacked(const Matrix &x, const PackedLayer &layer, Matrix &y,
 }
 
 /**
- * The default float backend: the row-blocked AVX-512 kernel when
+ * The serving backend: the row-blocked AVX-512 kernel when
  * cpu::hasAvx512() at construction, else the AVX2 one when
  * cpu::hasAvx2(), else scalar gemmPanel.  Bit-identical to reference
  * on each.
@@ -408,8 +379,7 @@ class BlockedBackend final : public Backend
   public:
     explicit BlockedBackend(const Dnn &dnn)
         : Backend(dnn.config().inputDim, dnn.config().outputDim),
-          kernel(pickPanelKernel()), macs(dnn.macsPerFrame()),
-          weightBytes(parameterBytes(dnn, sizeof(float), 0))
+          kernel(pickPanelKernel())
     {
         for (std::size_t l = 0; l < dnn.numLayers(); ++l)
             layers.push_back(packLayer(dnn.layerWeights(l),
@@ -417,7 +387,6 @@ class BlockedBackend final : public Backend
     }
 
     BackendKind kind() const override { return BackendKind::Blocked; }
-    bool bitIdenticalToReference() const override { return true; }
 
     std::string_view isa() const override { return kernel.isa; }
 
@@ -444,326 +413,9 @@ class BlockedBackend final : public Backend
         return cur;
     }
 
-    std::uint64_t macsPerFrame() const override { return macs; }
-    std::uint64_t
-    weightBytesPerFrame() const override
-    {
-        return weightBytes;
-    }
-
   private:
     std::vector<PackedLayer> layers;
     PanelDispatch kernel;
-    std::uint64_t macs;
-    std::uint64_t weightBytes;
-};
-
-// ---------------------------------------------------------------------------
-// Int8 backend: per-output-channel weight quantization, dynamic
-// per-frame activation quantization, int32 accumulation.
-// ---------------------------------------------------------------------------
-
-/** Input values one k-group holds: the 4 bytes a maddubs pair-sum
- *  consumes per output lane. */
-constexpr std::size_t kGroup = 4;
-
-/**
- * One layer quantized for the int8 kernels: output channels grouped
- * into tiles of kTile; within a tile, per k-group of kGroup inputs,
- * per lane, the kGroup consecutive k weights -- so one 32-byte load
- * covers 8 lanes x 4 k-values, matching maddubs's pairwise byte
- * layout.  k beyond @c in pads with zero (contributes 0).
- */
-struct QuantLayer
-{
-    std::size_t in = 0;
-    std::size_t out = 0;
-    std::size_t groups = 0;           //!< ceil(in / kGroup)
-    std::size_t tiles = 0;
-    std::vector<std::int8_t> packed;  //!< tiles x groups x kTile x kGroup
-    std::vector<float> scale;         //!< per-output-channel weight scale
-    std::vector<float> bias;
-};
-
-QuantLayer
-quantizeLayer(const Matrix &weights, std::span<const float> bias)
-{
-    QuantLayer layer;
-    layer.in = weights.cols();
-    layer.out = weights.rows();
-    layer.groups = (layer.in + kGroup - 1) / kGroup;
-    layer.tiles = (layer.out + kTile - 1) / kTile;
-    layer.packed.assign(layer.tiles * layer.groups * kTile * kGroup, 0);
-    layer.scale.assign(layer.out, 1.0f);
-    layer.bias.assign(bias.begin(), bias.end());
-    for (std::size_t j = 0; j < layer.out; ++j) {
-        const auto wrow = weights.row(j);
-        float amax = 0.0f;
-        for (std::size_t k = 0; k < layer.in; ++k)
-            amax = std::max(amax, std::abs(wrow[k]));
-        const float scale = amax > 0.0f ? amax / 127.0f : 1.0f;
-        layer.scale[j] = scale;
-        const std::size_t tile = j / kTile, lane = j % kTile;
-        std::int8_t *panel = layer.packed.data() +
-                             tile * layer.groups * kTile * kGroup;
-        for (std::size_t k = 0; k < layer.in; ++k) {
-            const long q = std::lround(double(wrow[k]) / scale);
-            panel[(k / kGroup) * kTile * kGroup + lane * kGroup +
-                  k % kGroup] = std::int8_t(std::clamp<long>(q, -127, 127));
-        }
-    }
-    return layer;
-}
-
-/**
- * Scalar int8 tile accumulation over one packed panel:
- * acc[t] += sum_k qx[k] * W[t][k], int32 accumulators, walking the
- * group-packed layout int8PanelAvx2 reads.
- */
-void
-int8PanelScalar(const std::int8_t *ASR_RESTRICT qx, std::size_t groups,
-                const std::int8_t *ASR_RESTRICT panel,
-                std::int32_t *ASR_RESTRICT acc)
-{
-    for (std::size_t g = 0; g < groups; ++g) {
-        const std::int8_t *ASR_RESTRICT x = qx + g * kGroup;
-        const std::int8_t *ASR_RESTRICT p = panel + g * kTile * kGroup;
-        for (std::size_t t = 0; t < kTile; ++t)
-            for (std::size_t i = 0; i < kGroup; ++i)
-                acc[t] += std::int32_t(x[i]) *
-                          std::int32_t(p[t * kGroup + i]);
-    }
-}
-
-/** Signature shared by int8PanelScalar and int8PanelAvx2. */
-using Int8PanelKernel = void (*)(const std::int8_t *ASR_RESTRICT,
-                                 std::size_t,
-                                 const std::int8_t *ASR_RESTRICT,
-                                 std::int32_t *ASR_RESTRICT);
-
-#if ASR_HAVE_X86_KERNELS
-
-/**
- * AVX2 int8 tile accumulation over one group-packed panel.  Per
- * k-group: broadcast the 4 activation bytes, then
- * maddubs(|x|, sign(w, x)) pairs u8*s8 products into s16 and
- * madd-with-ones widens to the per-lane s32 sums.  The sign trick
- * supplies maddubs's required unsigned operand while keeping
- * x*w == |x| * sign(w, x); saturation cannot trigger because
- * quantization clamps both sides to +/-127 (pair sums <= 32258).
- * Integer addition is associative, so the result is bit-identical to
- * int8PanelScalar.
- */
-__attribute__((target("avx2"))) void
-int8PanelAvx2(const std::int8_t *ASR_RESTRICT qx, std::size_t groups,
-              const std::int8_t *ASR_RESTRICT panel,
-              std::int32_t *ASR_RESTRICT acc)
-{
-    static_assert(kTile == 32 && kGroup == 4,
-                  "kernel hard-codes four 8-lane vectors of 4-byte groups");
-    const __m256i ones = _mm256_set1_epi16(1);
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    __m256i acc2 = _mm256_setzero_si256();
-    __m256i acc3 = _mm256_setzero_si256();
-    for (std::size_t g = 0; g < groups; ++g) {
-        std::int32_t raw;
-        std::memcpy(&raw, qx + g * kGroup, kGroup);
-        const __m256i xs = _mm256_set1_epi32(raw);
-        const __m256i xa = _mm256_abs_epi8(xs);
-        const std::int8_t *ASR_RESTRICT p = panel + g * kTile * kGroup;
-        const __m256i w0 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
-        const __m256i w1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(p + 32));
-        const __m256i w2 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(p + 64));
-        const __m256i w3 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(p + 96));
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(
-                      _mm256_maddubs_epi16(
-                          xa, _mm256_sign_epi8(w0, xs)),
-                      ones));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(
-                      _mm256_maddubs_epi16(
-                          xa, _mm256_sign_epi8(w1, xs)),
-                      ones));
-        acc2 = _mm256_add_epi32(
-            acc2, _mm256_madd_epi16(
-                      _mm256_maddubs_epi16(
-                          xa, _mm256_sign_epi8(w2, xs)),
-                      ones));
-        acc3 = _mm256_add_epi32(
-            acc3, _mm256_madd_epi16(
-                      _mm256_maddubs_epi16(
-                          xa, _mm256_sign_epi8(w3, xs)),
-                      ones));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc), acc0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + 8), acc1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + 16), acc2);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + 24), acc3);
-}
-
-#endif // ASR_HAVE_X86_KERNELS
-
-/**
- * The int8 tile kernel cpu::hasAvx2() resolves to right now: the
- * maddubs loop, else the scalar int8PanelScalar.
- */
-Int8PanelKernel
-pickInt8Kernel()
-{
-#if ASR_HAVE_X86_KERNELS
-    if (cpu::hasAvx2())
-        return &int8PanelAvx2;
-#endif
-    return &int8PanelScalar;
-}
-
-/**
- * The int8 backend.  Quantization, dequant and bias arithmetic are
- * the same on either kernel, and the kernels differ only in how the
- * associative int32 sum is formed, so which one runs is unobservable
- * in the scores (tested).
- */
-class Int8Backend final : public Backend
-{
-  public:
-    explicit Int8Backend(const Dnn &dnn)
-        : Backend(dnn.config().inputDim, dnn.config().outputDim),
-          kernel(pickInt8Kernel()), macs(dnn.macsPerFrame()),
-          weightBytes(parameterBytes(dnn, sizeof(std::int8_t), 1))
-    {
-        for (std::size_t l = 0; l < dnn.numLayers(); ++l)
-            layers.push_back(quantizeLayer(dnn.layerWeights(l),
-                                           dnn.layerBias(l)));
-    }
-
-    BackendKind kind() const override { return BackendKind::Int8; }
-    bool bitIdenticalToReference() const override { return false; }
-
-    std::string_view
-    isa() const override
-    {
-        return kernel != &int8PanelScalar ? "avx2" : "scalar";
-    }
-
-    Matrix
-    scoreBatch(const Matrix &input) const override
-    {
-        ASR_ASSERT(input.cols() == inputDim(),
-                   "backend input dim %zu != %zu", input.cols(),
-                   inputDim());
-        Matrix out(input.rows(), outputDim());
-        RowScratch scratch;
-        for (std::size_t r = 0; r < input.rows(); ++r)
-            scoreRow(input.row(r), out.row(r), scratch);
-        return out;
-    }
-
-    std::uint64_t macsPerFrame() const override { return macs; }
-    std::uint64_t
-    weightBytesPerFrame() const override
-    {
-        return weightBytes;
-    }
-
-  private:
-    /**
-     * One scoreBatch call's activation buffers, reused across its
-     * rows; they grow to the largest layer once.
-     */
-    struct RowScratch
-    {
-        std::vector<float> a;        //!< ping activation buffer
-        std::vector<float> b;        //!< pong activation buffer
-        std::vector<std::int8_t> q;  //!< quantized activations
-    };
-
-    /**
-     * Score one row.  Quantization is per row, so a row scores the
-     * same bits alone or in any batch -- just not the float backends'
-     * bits.
-     */
-    void
-    scoreRow(std::span<const float> input, std::span<float> out,
-             RowScratch &scratch) const
-    {
-        const float *x = input.data();
-        std::size_t xn = input.size();
-        for (std::size_t l = 0; l < layers.size(); ++l) {
-            const QuantLayer &layer = layers[l];
-            const bool last = l + 1 == layers.size();
-            ASR_ASSERT(xn == layer.in, "layer dim mismatch");
-            float *y;
-            if (last) {
-                y = out.data();
-            } else {
-                std::vector<float> &buf =
-                    (l % 2 == 0) ? scratch.a : scratch.b;
-                if (buf.size() < layer.out)
-                    buf.resize(layer.out);
-                y = buf.data();
-            }
-
-            // Dynamic symmetric activation quantization.
-            float amax = 0.0f;
-            for (std::size_t k = 0; k < xn; ++k)
-                amax = std::max(amax, std::abs(x[k]));
-            if (amax == 0.0f) {
-                for (std::size_t j = 0; j < layer.out; ++j)
-                    y[j] = layer.bias[j];
-            } else {
-                const float ascale = amax / 127.0f;
-                // Padded to whole k-groups so the kernels' group
-                // loads stay in bounds; the zero tail contributes
-                // nothing.
-                const std::size_t qn = layer.groups * kGroup;
-                if (scratch.q.size() < qn)
-                    scratch.q.resize(qn);
-                for (std::size_t k = 0; k < xn; ++k) {
-                    const long q =
-                        std::lround(double(x[k]) / ascale);
-                    scratch.q[k] =
-                        std::int8_t(std::clamp<long>(q, -127, 127));
-                }
-                for (std::size_t k = xn; k < qn; ++k)
-                    scratch.q[k] = 0;
-                const std::int8_t *qx = scratch.q.data();
-                for (std::size_t tile = 0; tile < layer.tiles;
-                     ++tile) {
-                    alignas(32) std::int32_t acc[kTile] = {};
-                    kernel(qx, layer.groups,
-                           layer.packed.data() +
-                               tile * layer.groups * kTile * kGroup,
-                           acc);
-                    const std::size_t j0 = tile * kTile;
-                    const std::size_t jn =
-                        std::min(kTile, layer.out - j0);
-                    for (std::size_t t = 0; t < jn; ++t) {
-                        const std::size_t j = j0 + t;
-                        y[j] = float(acc[t]) *
-                                   (ascale * layer.scale[j]) +
-                               layer.bias[j];
-                    }
-                }
-            }
-            if (!last)
-                for (std::size_t j = 0; j < layer.out; ++j)
-                    y[j] = std::max(y[j], 0.0f);
-            x = y;
-            xn = layer.out;
-        }
-        logSoftmaxRow(out);
-    }
-
-    std::vector<QuantLayer> layers;
-    Int8PanelKernel kernel;
-    std::uint64_t macs;
-    std::uint64_t weightBytes;
 };
 
 } // namespace
@@ -776,8 +428,6 @@ Backend::create(BackendKind kind, const Dnn &dnn)
         return std::make_unique<ReferenceBackend>(dnn);
       case BackendKind::Blocked:
         return std::make_unique<BlockedBackend>(dnn);
-      case BackendKind::Int8:
-        return std::make_unique<Int8Backend>(dnn);
     }
     panic("unknown backend kind %d", int(kind));
 }

@@ -11,10 +11,10 @@
  * GEMM the server's cross-session BatchScorer drives once per tick,
  * and the one an inline-scoring session drives over its own rows.
  *
- * Three implementations, each with one kernel dispatch decided at
+ * Two implementations, each with one kernel dispatch decided at
  * construction (common/cpuinfo.hh; isa() reports the choice):
  *  - Reference: Dnn::forward, the naive matmulTransposed loops; the
- *    correctness oracle every other backend is measured against.
+ *    correctness oracle Blocked is measured against.
  *  - Blocked:   the same arithmetic over weights repacked at
  *    construction into SIMD-friendly column tiles, row-blocked for
  *    cache reuse.  On an AVX-512F host a register-blocked kernel
@@ -23,21 +23,13 @@
  *    AVX2 kernel reuses each 8-lane slice across three rows.  Both
  *    keep a separate multiply and add per step; elsewhere a
  *    compiler-vectorized scalar loop runs.  Bit-identical to
- *    Reference on all three kernels (see below) and the default in
- *    pipeline::AsrModel.  Its panel kernel also trains the DNN
- *    (blockedGemm below).
- *  - Int8:      per-output-channel symmetric weight quantization
- *    with dynamic per-frame activation quantization; 4x smaller
- *    weight traffic (the gpu:: analytical models read the byte
- *    counts).  On an AVX2 host a maddubs/madd kernel forms the int32
- *    sums, elsewhere a scalar loop over the same packed weights;
- *    integer addition is associative, so both kernels give the same
- *    bits (asserted in tests).  Validated by bounded score error and
- *    WER delta against Reference, not bitwise.
+ *    Reference on all three kernels (see below) and the backend
+ *    pipeline::AsrModel scores with.  Its panel kernel also trains
+ *    the DNN (blockedGemm below).
  *
- * Bit-identity contract (float paths)
- * -----------------------------------
- * Every float backend must produce, for every output element, the
+ * Bit-identity contract
+ * ---------------------
+ * Every backend must produce, for every output element, the
  * exact float sequence of the reference kernel: a single f32
  * accumulator over k in ascending order (acoustic::matmulTransposed),
  * bias added after the full dot product, ReLU between hidden layers,
@@ -55,7 +47,7 @@
 #ifndef ASR_ACOUSTIC_BACKEND_HH
 #define ASR_ACOUSTIC_BACKEND_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -70,10 +62,9 @@ enum class BackendKind
 {
     Reference,  //!< naive float GEMM (Dnn::forward)
     Blocked,    //!< packed-tile float GEMM, exact AVX-512/AVX2/scalar
-    Int8,       //!< int8 weight-quantized GEMM, AVX2 or scalar kernel
 };
 
-/** Stable lower-case name ("reference", "blocked", "int8"). */
+/** Stable lower-case name ("reference", "blocked"). */
 std::string_view backendName(BackendKind kind);
 
 /**
@@ -118,15 +109,11 @@ class Backend
     virtual BackendKind kind() const = 0;
     std::string_view name() const { return backendName(kind()); }
 
-    /** True when this backend honours the float bit-identity contract. */
-    virtual bool bitIdenticalToReference() const = 0;
-
     /**
      * Instruction set the hot kernel actually dispatches to, as
      * resolved at construction: "avx512" (blocked, when
-     * cpu::hasAvx512()), "avx2" (blocked or int8, when
-     * cpu::hasAvx2()), else "scalar".  Diagnostics and bench JSON;
-     * never affects results.
+     * cpu::hasAvx512()), "avx2" (blocked, when cpu::hasAvx2()), else
+     * "scalar".  Diagnostics and bench JSON; never affects results.
      */
     virtual std::string_view isa() const { return "scalar"; }
 
@@ -139,15 +126,6 @@ class Backend
      * the result depends only on row r of the input.
      */
     virtual Matrix scoreBatch(const Matrix &input) const = 0;
-
-    /** Multiply-accumulates one frame costs (analytical models). */
-    virtual std::uint64_t macsPerFrame() const = 0;
-
-    /**
-     * Weight + bias bytes one frame must read when nothing is cached
-     * (analytical models: the traffic a batch amortizes).
-     */
-    virtual std::uint64_t weightBytesPerFrame() const = 0;
 
     /** Build a backend of @p kind over the trained @p dnn. */
     static std::unique_ptr<Backend> create(BackendKind kind,

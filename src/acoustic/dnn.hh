@@ -79,8 +79,8 @@ class Dnn
     std::uint64_t macsPerFrame() const;
 
     // Read-only layer access so alternative inference backends
-    // (acoustic::Backend implementations) can repack or quantize the
-    // trained parameters without friending into the class.
+    // (acoustic::Backend implementations) can repack the trained
+    // parameters without friending into the class.
     std::size_t numLayers() const { return layers.size(); }
 
     /** Layer @p l weight matrix, out x in (transposed storage). */

@@ -116,8 +116,7 @@ class Engine : public StreamEndpoint
   public:
     /**
      * Build the engine's own model over @p net from @p model_cfg as
-     * given (trains the acoustic model, see pipeline::AsrModel;
-     * model_cfg.acousticBackend picks the scoring backend), then
+     * given (trains the acoustic model, see pipeline::AsrModel), then
      * start the coordinator.
      */
     Engine(const wfst::Wfst &net,

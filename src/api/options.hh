@@ -75,8 +75,7 @@ struct EngineOptions : server::SessionKnobs
 
     /**
      * Validate the options: the search backend name must be one of
-     * the built-in search::Backend names.  (The acoustic backend is
-     * the model's: pipeline::AsrSystemConfig::acousticBackend.)
+     * the built-in search::Backend names.
      * @return empty string when valid, else a diagnostic listing the
      *         built-in search backend names
      */

@@ -2,14 +2,13 @@
  * @file
  * Runtime CPU-feature detection for the SIMD kernel dispatch.
  *
- * The explicitly vectorized acoustic kernels ("blocked" and "int8"
- * in acoustic/backend.hh) are compiled with per-function target
- * attributes, so the binary always contains the SIMD and the scalar
- * code paths; which one runs is decided here, once, at backend
- * construction.  "blocked" has an AVX-512F, an AVX2 and a scalar
- * kernel, "int8" an AVX2 and a scalar one.  A build on a non-x86
- * host (or a run on an x86 core without AVX2) silently degrades to
- * the scalar kernels -- the same results, just slower.
+ * The blocked acoustic backend's kernels (acoustic/backend.hh) are
+ * compiled with per-function target attributes, so the binary always
+ * contains the SIMD and the scalar code paths; which one runs -- the
+ * AVX-512F, the AVX2 or the scalar kernel -- is decided here, once,
+ * at backend construction.  A build on a non-x86 host (or a run on
+ * an x86 core without AVX2) silently degrades to the scalar kernel
+ * -- the same results, just slower.
  *
  * Two override knobs exist so the narrower paths stay testable on
  * hosts that have the wider ones:

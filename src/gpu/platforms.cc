@@ -16,17 +16,6 @@ Workload::fromDecodeStats(const decoder::DecodeStats &s,
     return w;
 }
 
-Workload
-Workload::fromBackend(const decoder::DecodeStats &s,
-                      const acoustic::Backend &backend,
-                      std::uint64_t batch_frames)
-{
-    Workload w = fromDecodeStats(s, backend.macsPerFrame());
-    w.dnnWeightBytesPerPass = backend.weightBytesPerFrame();
-    w.dnnBatchFrames = batch_frames > 0 ? batch_frames : 1;
-    return w;
-}
-
 std::uint64_t
 Workload::dnnWeightTrafficBytes() const
 {

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 
-#include "acoustic/backend.hh"
 #include "decoder/result.hh"
 
 namespace asr::gpu {
@@ -43,8 +42,7 @@ struct Workload
     /**
      * Weight + bias bytes one DNN forward pass must stream (0 skips
      * the bandwidth term, preserving the original compute-only
-     * model).  Read off the acoustic backend: the int8 backend
-     * reports a quarter of the float traffic.
+     * model), e.g. Dnn::numParameters() * sizeof(float).
      */
     std::uint64_t dnnWeightBytesPerPass = 0;
 
@@ -61,14 +59,6 @@ struct Workload
 
     static Workload fromDecodeStats(const decoder::DecodeStats &s,
                                     std::uint64_t dnn_macs_per_frame);
-
-    /**
-     * Like fromDecodeStats, but reads the DNN cost model (MACs and
-     * weight bytes per frame) off the configured acoustic backend.
-     */
-    static Workload fromBackend(const decoder::DecodeStats &s,
-                                const acoustic::Backend &backend,
-                                std::uint64_t batch_frames = 1);
 
     /** Weight traffic of scoring all frames at dnnBatchFrames. */
     std::uint64_t dnnWeightTrafficBytes() const;

@@ -31,7 +31,8 @@ AsrModel::AsrModel(const wfst::Wfst &net, const AsrSystemConfig &config)
       dnn_(dnnConfigFor(config, mfcc_.config()))
 {
     trainAcousticModel();
-    backend_ = acoustic::Backend::create(cfg.acousticBackend, dnn_);
+    backend_ = acoustic::Backend::create(acoustic::BackendKind::Blocked,
+                                         dnn_);
     scorer_ = std::make_unique<acoustic::DnnScorer>(
         *backend_, cfg.contextFrames);
 }

@@ -50,15 +50,6 @@ struct AsrSystemConfig
     unsigned trainUtterPerPhoneme = 40;  //!< training segments
     unsigned trainEpochs = 30;
     float beam = 14.0f;
-
-    /**
-     * Acoustic scoring backend (see acoustic/backend.hh).  Blocked is
-     * the default: bit-identical to Reference, several times faster.
-     * Int8 trades bounded score error for 4x smaller weight traffic.
-     */
-    acoustic::BackendKind acousticBackend =
-        acoustic::BackendKind::Blocked;
-
     std::uint64_t seed = 1234;
 };
 
@@ -80,10 +71,10 @@ class AsrModel
     const frontend::Mfcc &mfcc() const { return mfcc_; }
     const acoustic::Dnn &dnn() const { return dnn_; }
 
-    /** The configured acoustic scoring backend over the trained DNN. */
+    /** The blocked scoring backend over the trained DNN. */
     const acoustic::Backend &backend() const { return *backend_; }
 
-    /** Batch scorer over the configured backend. */
+    /** Batch scorer over backend(). */
     const acoustic::DnnScorer &scorer() const { return *scorer_; }
 
     /** The synthesizer (shared voices) for generating test audio. */

@@ -11,8 +11,7 @@
  * layer in server_test.cc.
  *
  * The same grid also pins down the arc-layout seam: decoding over
- * wfst::CompactArcs must be bit-identical to the raw walk in exact
- * mode and score-within-bound in quantized mode.
+ * wfst::CompactArcs must be bit-identical to the raw walk.
  */
 
 #include <cstdint>

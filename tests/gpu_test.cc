@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "acoustic/backend.hh"
 #include "gpu/platforms.hh"
 
 using namespace asr;
@@ -107,27 +106,15 @@ TEST(CpuModel, DnnSlowerThanGpu)
     EXPECT_GT(cpu.dnnSeconds(w), gpu.dnnSeconds(w));
 }
 
-TEST(Workload, FromBackendReadsMacAndByteCounts)
+TEST(Workload, WeightTrafficCountsPartialPassInFull)
 {
-    acoustic::DnnConfig dcfg;
-    dcfg.inputDim = 10;
-    dcfg.hidden = {20};
-    dcfg.outputDim = 30;
-    const acoustic::Dnn net(dcfg);
-    const auto backend = acoustic::Backend::create(
-        acoustic::BackendKind::Int8, net);
-
-    decoder::DecodeStats s;
-    s.framesDecoded = 40;
-    const Workload w = Workload::fromBackend(s, *backend, 16);
-    EXPECT_EQ(w.frames, 40u);
-    EXPECT_EQ(w.dnnMacsPerFrame, backend->macsPerFrame());
-    EXPECT_EQ(w.dnnWeightBytesPerPass,
-              backend->weightBytesPerFrame());
-    EXPECT_EQ(w.dnnBatchFrames, 16u);
-    // 40 frames at batch 16 -> 3 passes.
-    EXPECT_EQ(w.dnnWeightTrafficBytes(),
-              3u * backend->weightBytesPerFrame());
+    // A 10 -> 20 -> 30 float net: 800 weights and 50 biases.
+    Workload w;
+    w.frames = 40;
+    w.dnnWeightBytesPerPass = (800 + 50) * sizeof(float);
+    w.dnnBatchFrames = 16;
+    // 40 frames at batch 16 -> 3 passes, the last one partial.
+    EXPECT_EQ(w.dnnWeightTrafficBytes(), 3u * w.dnnWeightBytesPerPass);
 }
 
 TEST(DnnBandwidth, BatchOneIsBandwidthBoundBatchManyComputeBound)

@@ -194,62 +194,6 @@ TEST(AsrSystem, EndToEndRecognition)
     EXPECT_GE(result.searchSeconds, 0.0);
 }
 
-TEST(AsrSystem, Int8BackendWerDeltaBounded)
-{
-    // Quantizing the trained acoustic model to int8 may perturb
-    // scores (it is exempt from the bit-identity contract) but must
-    // not meaningfully hurt recognition: aggregate WER on a synthetic
-    // corpus stays within a small delta of the float backend.
-    const wfst::Wfst net = makeNet(250, 12, 909);
-    AsrSystemConfig cfg;
-    cfg.numPhonemes = 12;
-    cfg.hiddenLayers = {48};
-    cfg.trainUtterPerPhoneme = 12;
-    cfg.trainEpochs = 12;
-    cfg.beam = 14.0f;
-    cfg.seed = 13;
-    const AsrModel model(net, cfg);
-
-    // Int8 backend over the *same* trained weights.
-    const auto int8 = acoustic::Backend::create(
-        acoustic::BackendKind::Int8, model.dnn());
-    const acoustic::DnnScorer qscorer(*int8, model.contextFrames());
-
-    decoder::DecoderConfig dcfg;
-    dcfg.beam = cfg.beam;
-    decoder::ViterbiDecoder dec(net, dcfg);
-
-    decoder::WerResult floatWer, int8Wer;
-    Rng rng(21);
-    CorpusConfig ccfg;
-    ccfg.framesPerUtterance = 40;
-    for (unsigned u = 0; u < 6; ++u) {
-        const Utterance utt = sampleUtterance(net, ccfg, rng);
-        std::vector<std::uint32_t> phones(utt.framePhonemes.begin(),
-                                          utt.framePhonemes.end());
-        const frontend::AudioSignal audio =
-            model.synthesizer().synthesize(phones, 1);
-        const frontend::FeatureMatrix feats =
-            model.mfcc().compute(audio);
-
-        const auto scoreOne = [&](const acoustic::DnnScorer &scorer,
-                                  decoder::WerResult &acc) {
-            const auto r = dec.decode(scorer.score(feats));
-            const auto w = decoder::scoreWer(utt.words, r.words);
-            acc.substitutions += w.substitutions;
-            acc.insertions += w.insertions;
-            acc.deletions += w.deletions;
-            acc.referenceLength += w.referenceLength;
-        };
-        scoreOne(model.scorer(), floatWer);
-        scoreOne(qscorer, int8Wer);
-    }
-    ASSERT_GT(floatWer.referenceLength, 0u);
-    EXPECT_LE(int8Wer.wer(), floatWer.wer() + 0.1)
-        << "int8 WER " << int8Wer.wer() << " vs float "
-        << floatWer.wer();
-}
-
 TEST(AsrSystem, SoftwareBackendAgrees)
 {
     const wfst::Wfst net = makeNet(150, 8, 77);
